@@ -36,8 +36,8 @@ from .dmp import (check_theorem_dmp, check_full_system_condition,
 _METHOD_ALIASES = {
     "cg": "conjugate-gradient-jacobi",
     "conjugate-gradient-jacobi": "conjugate-gradient-jacobi",
-    "cholesky": "dense-cholesky",
-    "dense-cholesky": "dense-cholesky",
+    "cholesky": "sparse-direct",
+    "sparse-direct": "sparse-direct",
 }
 
 _EXAMPLE_DOMAINS = {
@@ -128,11 +128,19 @@ def _add_common(p):
                    help="override the boundary data with a constant")
     p.add_argument("--source-const", type=float, default=None,
                    help="override the source term with a constant")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--method", default="cg",
-                   help="cg (conjugate-gradient-jacobi) or cholesky")
-    p.add_argument("--max-iterations", type=int, default=None)
+    _add_solver_flags(p)
     p.add_argument("--out", default=".", help="output directory")
+
+
+def _add_solver_flags(p):
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="relative true-residual tolerance of the solve")
+    p.add_argument("--method", default="cg",
+                   help="cg (conjugate-gradient-jacobi, the default) or "
+                        "cholesky (sparse-direct: one sparse LU factorization "
+                        "in symmetric mode)")
+    p.add_argument("--max-iterations", type=int, default=None,
+                   help="conjugate gradient iteration budget (default 20n)")
 
 
 def _cmd_solve(args):
@@ -329,9 +337,7 @@ def main(argv=None) -> int:
     p.add_argument("--sizes", type=_parse_ints, default=[8, 16, 32, 64])
     p.add_argument("--kinds", type=lambda s: s.split(","),
                    default=["mesh45", "mesh90", "mesh135"])
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--method", default="cg")
-    p.add_argument("--max-iterations", type=int, default=None)
+    _add_solver_flags(p)
     p.add_argument("--out", default=".")
     p.set_defaults(handler=_cmd_example1)
 
@@ -340,9 +346,7 @@ def main(argv=None) -> int:
     p.add_argument("--kinds", type=lambda s: s.split(","),
                    default=["mesh45", "mesh90"])
     p.add_argument("--gammas", type=_parse_floats, default=[20.0, 40.0, 60.0, 99.0])
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--method", default="cg")
-    p.add_argument("--max-iterations", type=int, default=None)
+    _add_solver_flags(p)
     p.add_argument("--out", default=".")
     p.set_defaults(handler=_cmd_example2)
 
@@ -352,9 +356,7 @@ def main(argv=None) -> int:
     p.add_argument("--kinds", type=lambda s: s.split(","),
                    default=["mesh45", "mesh90"])
     p.add_argument("--gammas", type=_parse_floats, default=[20.0, 40.0, 60.0, 99.0])
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--method", default="cg")
-    p.add_argument("--max-iterations", type=int, default=None)
+    _add_solver_flags(p)
     p.add_argument("--out", default=".")
     p.set_defaults(handler=_cmd_trend)
 

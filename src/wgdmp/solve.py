@@ -1,21 +1,23 @@
 """Solvers for the reduced interior-edge system plus postprocessing.
 
 The reduced matrix is symmetric positive definite, so two methods are
-offered: a Jacobi-preconditioned conjugate gradient (the default, works
-at any size) and a dense Cholesky factorization for small systems.  The
-element unknowns are recovered afterwards from the diagonal element
+offered, both from :mod:`scipy.sparse.linalg`: conjugate gradient with a
+Jacobi preconditioner (the default) and a sparse direct LU factorization
+in symmetric mode with a minimum-degree ordering.  Either solve is
+accepted only when its true residual ``b - A x`` meets the tolerance.
+The element unknowns are recovered afterwards from the diagonal element
 block, and :func:`vertex_average` folds edge values down to vertices for
 plotting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg as spla
 
-from .assembly import WgSystem, ReducedSystem, schur_algebraic, boundary_averages
+from .assembly import WgSystem, ReducedSystem, schur_algebraic
 from .mesh import TriMesh
 
 __all__ = [
@@ -31,8 +33,7 @@ __all__ = [
     "export_vertex_csv",
 ]
 
-METHODS = ("conjugate-gradient-jacobi", "dense-cholesky")
-DENSE_LIMIT = 2000
+METHODS = ("conjugate-gradient-jacobi", "sparse-direct")
 
 
 class SolverError(Exception):
@@ -52,8 +53,9 @@ class SolverConfig:
     """Solver selection and stopping control.
 
     ``max_iterations`` of ``None`` means ``20 * n`` for an ``n``-unknown
-    system.  ``rel_tolerance`` bounds the final true residual relative to
-    the right hand side norm.
+    system; it bounds the conjugate gradient iterations summed over
+    restarts.  ``rel_tolerance`` bounds the final true residual relative
+    to the right hand side norm, for both methods.
     """
 
     rel_tolerance: float = 1e-12
@@ -82,61 +84,62 @@ class WgSolution:
     residual_norm: float
 
 
-def _pcg_jacobi(a_mat, b, tol, max_iterations):
-    """Jacobi-preconditioned CG with true-residual confirmation.
+def _cg_jacobi(a_mat, b, tol, max_iterations):
+    """Jacobi-preconditioned scipy CG, accepted on the true residual.
 
-    The recurrence residual is refreshed against ``b - A x`` every 50
-    steps and again before accepting convergence; acceptance requires the
-    true residual to meet the tolerance.
+    scipy stops on its recurrence residual; when the true residual then
+    misses the tolerance, CG restarts from the current iterate with what
+    is left of the iteration budget.  The history holds the true residual
+    at each of these checks, starting from ``x = 0``.
     """
-    n = b.shape[0]
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n), 0.0, [0.0]
     dinv = 1.0 / a_mat.diagonal()
-    x = np.zeros(n)
-    r = b.copy()
-    history = []
+    jacobi = spla.LinearOperator(a_mat.shape, matvec=lambda r: dinv * r,
+                                 dtype=float)
+    x = np.zeros(b.shape[0])
+    history = [bnorm]
     its = 0
+
+    def step(_xk):
+        nonlocal its
+        its += 1
+
     while True:
-        z = dinv * r
-        p = z.copy()
-        rz = float(r @ z)
-        while True:
-            rn = float(np.linalg.norm(r))
-            history.append(rn)
-            if rn <= tol * bnorm or its >= max_iterations:
-                break
-            ap = a_mat @ p
-            alpha = rz / float(p @ ap)
-            x += alpha * p
-            r -= alpha * ap
-            its += 1
-            if its % 50 == 0:
-                # periodic refresh: recompute the true residual and restart
-                # the search direction from it
-                r = b - a_mat @ x
-                z = dinv * r
-                rz = float(r @ z)
-                p = z.copy()
-                continue
-            z = dinv * r
-            rz_new = float(r @ z)
-            beta = rz_new / rz
-            p = z + beta * p
-            rz = rz_new
-        r_true = b - a_mat @ x
-        rn_true = float(np.linalg.norm(r_true))
-        if rn_true <= tol * bnorm:
-            history[-1] = rn_true
-            return x, rn_true, history
-        if its >= max_iterations:
+        before = its
+        x, _ = spla.cg(a_mat, b, x0=x, rtol=tol, atol=0.0, M=jacobi,
+                       maxiter=max_iterations - its, callback=step)
+        resid = float(np.linalg.norm(b - a_mat @ x))
+        history.append(resid)
+        if resid <= tol * bnorm:
+            return x, resid
+        # a restart that takes no step would repeat forever
+        if its >= max_iterations or its == before:
             raise NonConvergenceError(
                 f"conjugate gradient did not reach a relative residual of "
-                f"{tol:g} within {max_iterations} iterations "
-                f"(last true residual {rn_true / bnorm:.3e} relative)",
+                f"{tol:g} in {its} of {max_iterations} iterations "
+                f"(last true residual {resid / bnorm:.3e} relative)",
                 history)
-        r = r_true  # restart from the verified residual
+
+
+def _sparse_direct(a_mat, b, tol):
+    """One sparse LU factorization in symmetric mode, accepted on the true
+    residual.  The matrix is symmetric positive definite, so the pivots
+    stay on the diagonal of a minimum-degree ordering of ``A + A^T``."""
+    try:
+        lu = spla.splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"sparse direct factorization failed: {exc}") \
+            from exc
+    x = lu.solve(b)
+    resid = float(np.linalg.norm(b - a_mat @ x))
+    bnorm = float(np.linalg.norm(b))
+    if not resid <= tol * bnorm:
+        raise SolverError(
+            f"sparse direct solve left a relative residual of "
+            f"{resid / bnorm:.3e}, above {tol:g}")
+    return x, resid
 
 
 def solve_reduced(system: ReducedSystem, g_h: np.ndarray,
@@ -144,31 +147,25 @@ def solve_reduced(system: ReducedSystem, g_h: np.ndarray,
     """Solve ``a_mat @ ub = rhs - a_bdry @ g_h`` for the interior edges.
 
     Returns ``(ub, residual_norm)``.  A zero right hand side short
-    circuits to the zero vector.
+    circuits to the zero vector.  NaN or inf in the matrix or the right
+    hand side raises :class:`SolverError` before any solve.
     """
     cfg = config or SolverConfig()
     b = system.rhs - system.a_bdry @ np.asarray(g_h, dtype=float)
     n = b.shape[0]
     if n == 0:
         return np.zeros(0), 0.0
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    for what, vals in (("matrix", system.a_mat.data), ("right-hand side", b)):
+        if not np.all(np.isfinite(vals)):
+            raise SolverError(f"the reduced {what} holds non-finite values "
+                              f"(NaN or inf)")
+    if float(np.linalg.norm(b)) == 0.0:
         return np.zeros(n), 0.0
 
-    if cfg.method == "dense-cholesky":
-        if n > DENSE_LIMIT:
-            raise SolverError(
-                f"dense-cholesky is limited to {DENSE_LIMIT} unknowns, "
-                f"system has {n}")
-        dense = system.a_mat.toarray()
-        factor = scipy.linalg.cho_factor(dense, lower=True)
-        ub = scipy.linalg.cho_solve(factor, b)
-        resid = float(np.linalg.norm(b - system.a_mat @ ub))
-        return ub, resid
-
+    if cfg.method == "sparse-direct":
+        return _sparse_direct(system.a_mat, b, cfg.rel_tolerance)
     max_it = cfg.max_iterations if cfg.max_iterations is not None else 20 * n
-    ub, resid, _ = _pcg_jacobi(system.a_mat, b, cfg.rel_tolerance, max_it)
-    return ub, resid
+    return _cg_jacobi(system.a_mat, b, cfg.rel_tolerance, max_it)
 
 
 def recover_interior(system: WgSystem, ub: np.ndarray,

@@ -209,7 +209,7 @@ def test_acceptance_5_oracle_equivalence(capsys):
         a = solve_problem(mesh, field, f=f, g=g,
                           config=SolverConfig(method="conjugate-gradient-jacobi"))
         b = solve_problem(mesh, field, f=f, g=g,
-                          config=SolverConfig(method="dense-cholesky"))
+                          config=SolverConfig(method="sparse-direct"))
         solver_dev = max(solver_dev,
                          np.abs(a.ub - b.ub).max(),
                          np.abs(a.u0 - b.u0).max())

@@ -260,6 +260,15 @@ def test_unknown_subcommand():
     assert exc.value.code == 2
 
 
+def test_nonfinite_boundary_data_exits_2(tmp_path, capsys):
+    rc = main(["solve", "--mesh", "mesh45", "--size", "16",
+               "--field", "identity", "--boundary-const", "nan",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "non-finite" in err
+
+
 def test_field_file_line_count_mismatch(tmp_path, capsys):
     path = tmp_path / "short.txt"
     path.write_text("1 0 1\n")                 # one line for eight elements

@@ -44,7 +44,7 @@ def test_methods_agree():
     cg = solve_problem(mesh, field, g=g,
                        config=SolverConfig(method="conjugate-gradient-jacobi"))
     ch = solve_problem(mesh, field, g=g,
-                       config=SolverConfig(method="dense-cholesky"))
+                       config=SolverConfig(method="sparse-direct"))
     scale = np.abs(ch.ub).max()
     assert np.abs(cg.ub - ch.ub).max() <= 1e-9 * scale
     assert np.abs(cg.u0 - ch.u0).max() <= 1e-9 * scale
@@ -137,14 +137,76 @@ def test_solution_invariant_under_vertex_relabeling():
         assert abs(va - map_b[key]) <= 1e-10 * scale
 
 
-def test_cholesky_size_cap():
-    n = 2001
-    system = ReducedSystem(a_mat=sp.identity(n, format="csr"),
-                           a_bdry=sp.csr_matrix((n, 1)),
-                           rhs=np.ones(n))
-    with pytest.raises(SolverError, match="2000"):
-        solve_reduced(system, np.zeros(1),
-                      SolverConfig(method="dense-cholesky"))
+def _ring_system(size):
+    field, f, g = example_fields("example52", gamma=99.0)
+    mesh = generate_structured("mesh45", size, size)
+    system = assemble(mesh, field, f=f, g=g)
+    return system, schur_algebraic(system)
+
+
+def test_direct_method_above_old_dense_cap():
+    # 3,008 unknowns: above the 2,000 that the dense factorization allowed
+    system, reduced = _ring_system(32)
+    n = reduced.a_mat.shape[0]
+    assert n > 2000
+    direct, _ = solve_reduced(reduced, system.g_h,
+                              SolverConfig(method="sparse-direct"))
+    cg, _ = solve_reduced(reduced, system.g_h)
+    assert np.abs(direct - cg).max() <= 1e-9 * np.abs(direct).max()
+
+
+def test_cg_keeps_conjugacy():
+    # Jacobi CG without restarts needs about 660 products here; a loop
+    # that resets its search direction every 50 steps needs several
+    # thousand.  Allow at most n/2.
+    system, reduced = _ring_system(32)
+    products = []
+
+    class CountingCSR(sp.csr_matrix):
+        def _matmul_dispatch(self, other):
+            products.append(1)
+            return super()._matmul_dispatch(other)
+
+    a = reduced.a_mat.tocsr()
+    counting = ReducedSystem(
+        a_mat=CountingCSR((a.data, a.indices, a.indptr), shape=a.shape),
+        a_bdry=reduced.a_bdry, rhs=reduced.rhs)
+    ub, _ = solve_reduced(counting, system.g_h)
+    n = a.shape[0]
+    assert n == 3008
+    assert len(products) <= n // 2
+    b = reduced.rhs - reduced.a_bdry @ system.g_h
+    assert np.linalg.norm(b - a @ ub) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("method", ["conjugate-gradient-jacobi",
+                                    "sparse-direct"])
+def test_unreachable_tolerance_rejected(method):
+    # neither method may accept a solve whose true residual misses the
+    # tolerance, here one far below double precision
+    field, _, g = example_fields("example51")
+    mesh = generate_structured("mesh45", 4, 4, (0, 0, 16, 16))
+    system = assemble(mesh, field, g=g)
+    reduced = schur_algebraic(system)
+    with pytest.raises(SolverError, match="relative residual"):
+        solve_reduced(reduced, system.g_h,
+                      SolverConfig(rel_tolerance=1e-30, method=method))
+
+
+def test_nonfinite_input_rejected():
+    field, _, g = example_fields("example51")
+    mesh = generate_structured("mesh45", 4, 4, (0, 0, 16, 16))
+    system = assemble(mesh, field, g=g)
+    reduced = schur_algebraic(system)
+    g_bad = system.g_h.copy()
+    g_bad[0] = np.nan
+    with pytest.raises(SolverError, match="right-hand side holds non-finite"):
+        solve_reduced(reduced, g_bad)
+    a_bad = reduced.a_mat.tocsr(copy=True)
+    a_bad.data[0] = np.inf
+    bad = ReducedSystem(a_mat=a_bad, a_bdry=reduced.a_bdry, rhs=reduced.rhs)
+    with pytest.raises(SolverError, match="matrix holds non-finite"):
+        solve_reduced(bad, system.g_h)
 
 
 def test_nonconvergence_reports_history():
