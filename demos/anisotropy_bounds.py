@@ -12,11 +12,11 @@ exactly as the per-element audit predicts before any solve.
 
 import numpy as np
 
+from wgdmp.assembly import ElementData, schur_closed_form
 from wgdmp.dmp import check_theorem_dmp, mmatrix_audit, solution_verdict
 from wgdmp.mesh import generate_structured
 from wgdmp.solve import solve_problem
 from wgdmp.tensor import example_fields
-from wgdmp.assembly import schur_closed_form
 
 DOMAIN = (0.0, 0.0, 16.0, 16.0)
 
@@ -27,9 +27,9 @@ def main():
     print(f"{'kind':9} {'n':>3} {'audit':>6} {'max':>9} {'min':>10}  verdict")
     for kind in ("mesh45", "mesh90", "mesh135"):
         for n in (8, 16):
-            mesh = generate_structured(kind, n, n, DOMAIN)
-            thm = check_theorem_dmp(mesh, field)
-            sol = solve_problem(mesh, field, f=f, g=g)
+            data = ElementData(generate_structured(kind, n, n, DOMAIN), field)
+            thm = check_theorem_dmp(data)
+            sol = solve_problem(data, f=f, g=g)
             v = solution_verdict(sol)
             print(f"{kind:9} {n:3d} {'pass' if thm.passed else 'FAIL':>6} "
                   f"{max(v.max_ub, v.max_u0):9.5f} "
@@ -40,7 +40,7 @@ def main():
     # look closer at why mesh135 fails: every element has one edge pair
     # whose angle is obtuse in the inverse-tensor metric
     mesh = generate_structured("mesh135", 8, 8, DOMAIN)
-    thm = check_theorem_dmp(mesh, field)
+    thm = check_theorem_dmp(ElementData(mesh, field))
     bad = ~thm.pair_pass
     print(f"mesh135 8x8: {thm.failing_elements.size} of {mesh.n_elements} "
           f"elements fail the angle audit,")

@@ -14,6 +14,7 @@ audit is there to warn about.
 
 import numpy as np
 
+from wgdmp.assembly import ElementData
 from wgdmp.dmp import check_theorem_general, solution_verdict
 from wgdmp.mesh import generate_structured
 from wgdmp.solve import solve_problem
@@ -45,8 +46,9 @@ def sweep(label, fields, f, g, sizes=(8, 16, 32)):
     for gamma, field in fields:
         for n in sizes:
             mesh = generate_structured("mesh45", n, n)
-            rep = check_theorem_general(mesh, field)
-            sol = solve_problem(mesh, field, f=f, g=g)
+            data = ElementData(mesh, field)
+            rep = check_theorem_general(data)
+            sol = solve_problem(data, f=f, g=g)
             v = solution_verdict(sol)
             state = "in bounds" if v.passed else \
                 f"OVERSHOOT ({len(v.violating_edges)} edges)"

@@ -3,17 +3,18 @@
 Unknowns are one constant per element (``u0``) and one constant per edge
 (``ub``).  On a triangle ``K`` with centroid ``x_K`` the discrete weak
 gradient of any basis function lies in the span of ``x - x_K`` and the
-constants, so each basis gradient is stored as a radial coefficient plus
-a constant vector (:class:`WeakGradient`):
+constants, so each basis gradient is a radial coefficient plus a
+constant vector:
 
 * element basis:   ``grad = -c_k (x - x_K)``
 * edge ``l`` basis: ``grad = (c_k / 3)(x - x_K) + (|e_l| / |K|) n_l``
 
 with ``c_k = 2|K| / \\int_K |x - x_K|^2``.  Testing these against the
-tensor field produces closed-form matrix entries in terms of the element
-moments (see :mod:`wgdmp.tensor`); no reference-element mapping and no
-monolithic matrix is ever formed.  The element block ``M00`` is diagonal,
-which makes the Schur reduction onto the interior edge unknowns explicit:
+tensor field produces closed-form matrix entries in terms of the
+per-element moments held by :class:`ElementData`; no reference-element
+mapping and no monolithic matrix is ever formed.  The element block
+``M00`` is diagonal, which makes the Schur reduction onto the interior
+edge unknowns explicit:
 
 ``A(i, j) = sum_K |e_i||e_j| / |K|^2 * (n_mat_ij - m_i m_j / s_a)``
 
@@ -34,39 +35,14 @@ from .tensor import (TensorField, PiecewiseConstantField, QuadratureRule,
                      quadrature, FieldValidityError)
 
 __all__ = [
-    "WeakGradient",
+    "ElementData",
     "WgSystem",
     "ReducedSystem",
-    "weak_gradient_basis",
     "assemble",
     "schur_closed_form",
     "schur_algebraic",
     "export_matrix_triplets",
 ]
-
-
-@dataclass(frozen=True)
-class WeakGradient:
-    """A weak gradient ``radial * (x - x_K) + constant_part`` on one element."""
-
-    radial: float
-    constant_part: np.ndarray
-
-
-def weak_gradient_basis(geom, which) -> WeakGradient:
-    """Weak gradient of one basis function on one element.
-
-    ``which`` is ``"element"`` for the element (interior constant) basis
-    or a local edge index 0..2 for an edge basis.
-    """
-    if which == "element":
-        return WeakGradient(radial=-geom.c_k, constant_part=np.zeros(2))
-    li = int(which)
-    if not 0 <= li <= 2:
-        raise ValueError(f"which must be 'element' or a local edge index "
-                         f"0..2, got {which!r}")
-    const = (geom.edge_lengths[li] / geom.area) * geom.outward_normals[li]
-    return WeakGradient(radial=geom.c_k / 3.0, constant_part=const)
 
 
 @dataclass
@@ -100,17 +76,41 @@ class ReducedSystem:
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-element data shared by assembly and the audit engine
+# per-element data shared by assembly, the solve and the audit engine
 
-class _ElementData:
-    """Geometry and moment arrays for all elements at once."""
+class ElementData:
+    """Geometry and field moments of every element of a mesh.
 
-    __slots__ = ("area", "lens", "nrm", "cen", "coords", "diam", "s_iso",
-                 "c_k", "a_avg", "s_a", "m", "n_mat", "lam_min", "lip",
-                 "edge_dirs")
+    Build it once per mesh and field and pass it to :func:`assemble`,
+    :func:`wgdmp.solve.solve_problem` and the audits in :mod:`wgdmp.dmp`.
+    ``rule`` defaults to the degree-4 rule; constant and per-element
+    fields are integrated exactly regardless of it, functional fields
+    need degree >= 2.  Arrays have one row per element and follow the
+    local edge numbering (edge ``l`` runs from vertex ``l`` to ``l + 1``):
+
+    * ``coords`` ``(T, 3, 2)``, ``area``, ``cen`` (centroid), ``diam``
+      (longest edge), ``lens`` ``(T, 3)``, outward unit normals ``nrm``
+      and unit edge directions ``edge_dirs`` ``(T, 3, 2)``
+    * ``s_iso`` -- ``\\int_K |x - x_K|^2``, and ``c_k = 2|K| / s_iso``
+    * ``a_avg`` -- the averaged matrix ``|K|^-1 \\int_K A``
+    * ``s_a``   -- ``\\int_K (A (x - x_K)) . (x - x_K)``
+    * ``m``     -- ``\\int_K (A (x - x_K)) . n_l`` per local edge
+    * ``n_mat`` -- ``|K| n_i^T a_avg n_j`` for all local edge pairs
+
+    For constant and per-element fields the second moment of a triangle
+    about its centroid is ``|K|/3 * sum_l (mid_l - x_K)(mid_l - x_K)^T``,
+    so those moments are exact and ``m`` is zero.
+    """
+
+    __slots__ = ("mesh", "field", "rule", "coords", "area", "lens", "nrm",
+                 "cen", "diam", "s_iso", "c_k", "edge_dirs", "a_avg", "s_a",
+                 "m", "n_mat")
 
     def __init__(self, mesh: TriMesh, field: TensorField,
-                 rule: QuadratureRule | None):
+                 rule: QuadratureRule | None = None):
+        self.mesh = mesh
+        self.field = field
+        self.rule = rule if rule is not None else quadrature(4)
         p = mesh.vertices[mesh.triangles]                    # (T, 3, 2)
         ev = np.roll(p, -1, axis=1) - p
         lens = np.sqrt((ev ** 2).sum(axis=2))
@@ -152,36 +152,18 @@ class _ElementData:
             self.a_avg = ak
             self.s_a = np.einsum("tab,tab->t", ak, smat)
             self.m = np.zeros((mesh.n_elements, 3))
-            self.lip = np.zeros(mesh.n_elements)
-            self.lam_min = _eig_min(ak)
         else:
-            if rule is None:
-                rule = quadrature(4)
-            if rule.degree < 2:
+            if self.rule.degree < 2:
                 raise ValueError("functional fields need a quadrature rule "
                                  "of degree >= 2")
-            qp = np.einsum("qb,tbd->tqd", rule.points, p)    # (T, n, 2)
-            aq = field.sample(qp)                            # (T, n, 2, 2)
-            w = rule.weights
+            w = self.rule.weights
+            qp = np.einsum("qb,tbd->tqd", self.rule.points, p)   # (T, n, 2)
+            aq = field.sample(qp)                                # (T, n, 2, 2)
             self.a_avg = np.einsum("q,tqab->tab", w, aq)
             d = qp - cen[:, None, :]
             ad = np.einsum("tqab,tqb->tqa", aq, d)
             self.s_a = area * np.einsum("q,tqa,tqa->t", w, ad, d)
             self.m = area[:, None] * np.einsum("q,tqa,tla->tl", w, ad, nrm)
-            av = field.sample(p)                             # vertices
-            self.lam_min = np.minimum(_eig_min(aq).min(axis=1),
-                                      _eig_min(av).min(axis=1))
-            if field.lipschitz_bound is not None:
-                self.lip = np.full(mesh.n_elements,
-                                   float(field.lipschitz_bound))
-            else:
-                diff = aq[:, :, None] - aq[:, None, :]
-                num = np.sqrt((diff ** 2).sum(axis=(3, 4)))
-                den = np.sqrt(((qp[:, :, None] - qp[:, None, :]) ** 2).sum(axis=3))
-                eps = 1e-14 * np.maximum(h, 1e-300)
-                ratio = np.where(den > eps[:, None, None],
-                                 num / np.maximum(den, 1e-300), 0.0)
-                self.lip = ratio.max(axis=(1, 2))
         if np.any(self.s_a <= 0):
             k = int(np.argmax(self.s_a <= 0))
             raise FieldValidityError(
@@ -190,25 +172,13 @@ class _ElementData:
             "tia,tab,tjb->tij", nrm, self.a_avg, nrm)
 
 
-def _eig_min(mats: np.ndarray) -> np.ndarray:
-    m = np.asarray(mats)
-    half_tr = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    off = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
-    rad = np.sqrt((0.5 * (m[..., 0, 0] - m[..., 1, 1])) ** 2 + off ** 2)
-    return half_tr - rad
-
-
-def _source_integrals(mesh: TriMesh, f, rule: QuadratureRule) -> np.ndarray:
+def _source_integrals(data: ElementData, f) -> np.ndarray:
     if f is None:
-        return np.zeros(mesh.n_elements)
-    p = mesh.vertices[mesh.triangles]
-    qp = np.einsum("qb,tbd->tqd", rule.points, p)
+        return np.zeros(data.mesh.n_elements)
+    qp = np.einsum("qb,tbd->tqd", data.rule.points, data.coords)
     vals = np.asarray(f(qp[..., 0], qp[..., 1]), dtype=float)
     vals = np.broadcast_to(vals, qp.shape[:2])
-    area = 0.5 * np.abs(
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-    return area * (vals @ rule.weights)
+    return data.area * (vals @ data.rule.weights)
 
 
 def boundary_averages(mesh: TriMesh, g) -> np.ndarray:
@@ -227,7 +197,7 @@ def boundary_averages(mesh: TriMesh, g) -> np.ndarray:
                   np.broadcast_to(g2, (len(pts),)))
 
 
-def _entry_arrays(ed: _ElementData):
+def _entry_arrays(ed: ElementData):
     """Per-element entry values for all blocks, shapes (T,), (T,3), (T,3,3)."""
     m00 = ed.c_k ** 2 * ed.s_a
     b0 = (-(ed.c_k ** 2)[:, None] * ed.s_a[:, None] / 3.0
@@ -242,61 +212,64 @@ def _entry_arrays(ed: _ElementData):
     return m00, b0, bb, schur
 
 
-def _scatter_blocks(mesh: TriMesh, b0, bb):
-    """Assemble M0b, M0b_bdry, Mbb, Mbb_bdry from per-element entries."""
-    t_count = mesh.n_elements
+def _scatter_edge_pairs(mesh: TriMesh, vals):
+    """Scatter per-element ``(T, 3, 3)`` edge-pair entries into the
+    interior-interior and interior-boundary matrices."""
     ni = mesh.n_interior_edges
     nb = mesh.n_boundary_edges
     gids = mesh.element_to_edges                     # (T, 3)
-    is_int = gids < ni
-    rows_t = np.repeat(np.arange(t_count), 3)
-
-    g_flat = gids.ravel()
-    int_mask = is_int.ravel()
-    m0b = sp.coo_matrix(
-        (b0.ravel()[int_mask], (rows_t[int_mask], g_flat[int_mask])),
-        shape=(t_count, ni)).tocsr()
-    m0b_b = sp.coo_matrix(
-        (b0.ravel()[~int_mask], (rows_t[~int_mask], g_flat[~int_mask] - ni)),
-        shape=(t_count, nb)).tocsr()
-
     gi = np.repeat(gids[:, :, None], 3, axis=2)      # row ids (T,3,3)
     gj = np.repeat(gids[:, None, :], 3, axis=1)      # col ids (T,3,3)
     row_int = (gi < ni)
     col_int = (gj < ni)
     both = (row_int & col_int).ravel()
     ib = (row_int & ~col_int).ravel()
-    bbf = bb.reshape(-1)
+    vf = vals.reshape(-1)
     gif = gi.ravel()
     gjf = gj.ravel()
-    mbb = sp.coo_matrix((bbf[both], (gif[both], gjf[both])),
-                        shape=(ni, ni)).tocsr()
-    mbb_b = sp.coo_matrix((bbf[ib], (gif[ib], gjf[ib] - ni)),
-                          shape=(ni, nb)).tocsr()
+    inner = sp.coo_matrix((vf[both], (gif[both], gjf[both])),
+                          shape=(ni, ni)).tocsr()
+    bdry = sp.coo_matrix((vf[ib], (gif[ib], gjf[ib] - ni)),
+                         shape=(ni, nb)).tocsr()
+    return inner, bdry
+
+
+def _scatter_blocks(mesh: TriMesh, b0, bb):
+    """Assemble M0b, M0b_bdry, Mbb, Mbb_bdry from per-element entries."""
+    t_count = mesh.n_elements
+    ni = mesh.n_interior_edges
+    nb = mesh.n_boundary_edges
+    gids = mesh.element_to_edges                     # (T, 3)
+    rows_t = np.repeat(np.arange(t_count), 3)
+
+    g_flat = gids.ravel()
+    int_mask = (gids < ni).ravel()
+    m0b = sp.coo_matrix(
+        (b0.ravel()[int_mask], (rows_t[int_mask], g_flat[int_mask])),
+        shape=(t_count, ni)).tocsr()
+    m0b_b = sp.coo_matrix(
+        (b0.ravel()[~int_mask], (rows_t[~int_mask], g_flat[~int_mask] - ni)),
+        shape=(t_count, nb)).tocsr()
+    mbb, mbb_b = _scatter_edge_pairs(mesh, bb)
     return m0b, m0b_b, mbb, mbb_b
 
 
-def assemble(mesh: TriMesh, field: TensorField, f=None, g=None,
-             rule: QuadratureRule | None = None) -> WgSystem:
+def assemble(data: ElementData, f=None, g=None) -> WgSystem:
     """Assemble all sparse blocks of the two-field system.
 
     ``f`` and ``g`` are vectorized callables ``(x, y) -> value`` or
-    ``None`` for zero.  ``rule`` defaults to the degree-4 rule; constant
-    and per-element fields are integrated exactly regardless of it.
+    ``None`` for zero; the source is integrated with ``data.rule``.
     """
-    if rule is None:
-        rule = quadrature(4)
-    ed = _ElementData(mesh, field, rule)
-    m00, b0, bb, _ = _entry_arrays(ed)
-    m0b, m0b_b, mbb, mbb_b = _scatter_blocks(mesh, b0, bb)
+    m00, b0, bb, _ = _entry_arrays(data)
+    m0b, m0b_b, mbb, mbb_b = _scatter_blocks(data.mesh, b0, bb)
     return WgSystem(
         m00_diag=m00,
         m0b=m0b,
         m0b_bdry=m0b_b,
         mbb=mbb,
         mbb_bdry=mbb_b,
-        f0=_source_integrals(mesh, f, rule),
-        g_h=boundary_averages(mesh, g),
+        f0=_source_integrals(data, f),
+        g_h=boundary_averages(data.mesh, g),
     )
 
 
@@ -306,34 +279,20 @@ def schur_closed_form(mesh: TriMesh, field: TensorField,
     """Assemble the reduced interior-edge system directly from the
     per-element closed form (the element block is never materialized).
 
+    It builds its own :class:`ElementData`, so it serves as a reference
+    independent of the data passed around by the production path.
     ``f`` (optional vectorized source) feeds the reduced right hand side
     ``-M_b0 M_00^{-1} F_0``; omit it for a zero source.
     """
-    if rule is None:
-        rule = quadrature(4)
-    ed = _ElementData(mesh, field, rule)
+    ed = ElementData(mesh, field, rule)
     m00, b0, _, schur = _entry_arrays(ed)
+    a_mat, a_bdry = _scatter_edge_pairs(mesh, schur)
 
     ni = mesh.n_interior_edges
-    nb = mesh.n_boundary_edges
     gids = mesh.element_to_edges
-    gi = np.repeat(gids[:, :, None], 3, axis=2)
-    gj = np.repeat(gids[:, None, :], 3, axis=1)
-    row_int = gi < ni
-    col_int = gj < ni
-    both = (row_int & col_int).ravel()
-    ib = (row_int & ~col_int).ravel()
-    sf = schur.reshape(-1)
-    gif = gi.ravel()
-    gjf = gj.ravel()
-    a_mat = sp.coo_matrix((sf[both], (gif[both], gjf[both])),
-                          shape=(ni, ni)).tocsr()
-    a_bdry = sp.coo_matrix((sf[ib], (gif[ib], gjf[ib] - ni)),
-                           shape=(ni, nb)).tocsr()
-
     rhs = np.zeros(ni)
     if f is not None:
-        f0 = _source_integrals(mesh, f, rule)
+        f0 = _source_integrals(ed, f)
         vals = -b0 * (f0 / m00)[:, None]             # (T, 3)
         is_int = gids < ni
         np.add.at(rhs, gids[is_int], vals[is_int])

@@ -26,7 +26,7 @@ from .mesh import (MeshError, MeshFormatError, STRUCTURED_KINDS,
                    generate_structured, import_mesh)
 from .tensor import (ConstantField, FieldValidityError, example_fields,
                      load_piecewise_field, quadrature)
-from .assembly import assemble, schur_algebraic
+from .assembly import ElementData, assemble, schur_algebraic
 from .solve import (SolverConfig, SolverError, solve_problem, vertex_average,
                     export_solution_csv, export_vertex_csv)
 from .dmp import (check_theorem_dmp, check_full_system_condition,
@@ -128,7 +128,6 @@ def _add_common(p):
                    help="override the boundary data with a constant")
     p.add_argument("--source-const", type=float, default=None,
                    help="override the source term with a constant")
-    _add_solver_flags(p)
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -145,9 +144,8 @@ def _add_solver_flags(p):
 
 def _cmd_solve(args):
     mesh, field, f, g, _ = _resolve_problem(args)
-    rule = quadrature(args.degree)
-    sol = solve_problem(mesh, field, f=f, g=g, rule=rule,
-                        config=_solver_config(args))
+    data = ElementData(mesh, field, quadrature(args.degree))
+    sol = solve_problem(data, f=f, g=g, config=_solver_config(args))
     os.makedirs(args.out, exist_ok=True)
     export_solution_csv(sol, os.path.join(args.out, "solution.csv"))
     export_vertex_csv(mesh, vertex_average(mesh, sol),
@@ -165,12 +163,12 @@ def _cmd_solve(args):
 
 def _cmd_audit(args):
     mesh, field, f, g, _ = _resolve_problem(args)
-    rule = quadrature(args.degree)
     os.makedirs(args.out, exist_ok=True)
 
-    thm = check_theorem_dmp(mesh, field, rule)
+    data = ElementData(mesh, field, quadrature(args.degree))
+    thm = check_theorem_dmp(data)
     write_angle_report(thm, os.path.join(args.out, "angle_report.csv"))
-    reduced = schur_algebraic(assemble(mesh, field, f=f, g=g, rule=rule))
+    reduced = schur_algebraic(assemble(data, f=f, g=g))
     mm = mmatrix_audit(reduced)
     print(f"element conditions: {'pass' if thm.passed else 'FAIL'} "
           f"({thm.failing_elements.size} failing elements)")
@@ -180,11 +178,11 @@ def _cmd_audit(args):
           f"dense checks {'ran' if mm.dense_ran else 'skipped'})")
     ok = thm.passed and mm.passed
     if args.full_system:
-        fs = check_full_system_condition(mesh, field, rule)
+        fs = check_full_system_condition(data)
         write_angle_report(fs, os.path.join(args.out, "full_system.csv"))
         print(f"unreduced sign condition: "
               f"{'pass' if fs.passed else 'FAIL'} "
-              f"({len(fs.failing_pairs)} positive pairs)")
+              f"({np.count_nonzero(~fs.mbb_pass)} positive pairs)")
     return 0 if ok else 1
 
 
@@ -196,9 +194,10 @@ def run_example1(sizes, kinds, out_dir=".", config=None):
     for kind in kinds:
         for n in sizes:
             mesh = generate_structured(kind, n, n, _EXAMPLE_DOMAINS["example51"])
-            sol = solve_problem(mesh, field, f=f, g=g, config=config)
+            data = ElementData(mesh, field)
+            sol = solve_problem(data, f=f, g=g, config=config)
             v = solution_verdict(sol)
-            thm = check_theorem_dmp(mesh, field)
+            thm = check_theorem_dmp(data)
             rows.append({
                 "kind": kind, "size": n,
                 "max_ub": v.max_ub, "min_ub": v.min_ub,
@@ -248,7 +247,8 @@ def run_example2(sizes, kinds, gammas, out_dir=".", config=None):
             for n in sizes:
                 mesh = generate_structured(kind, n, n,
                                            _EXAMPLE_DOMAINS["example52"])
-                sol = solve_problem(mesh, field, f=f, g=g, config=config)
+                sol = solve_problem(ElementData(mesh, field), f=f, g=g,
+                                    config=config)
                 v = solution_verdict(sol)
                 rows.append({
                     "kind": kind, "gamma": gamma, "size": n,
@@ -325,6 +325,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="solve one problem")
     _add_common(p)
+    _add_solver_flags(p)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("audit", help="run the maximum-principle checks")

@@ -6,15 +6,16 @@ Three layers of checks, from local to global:
   every edge pair must satisfy ``(A n_i, n_j)_K <= m_i m_j / s_a`` and
   every edge the correction bound ``|m_l| <= c_k |K| s_a / (3 |e_l|)``.
   For a constant tensor the pair condition is exactly "all angles of the
-  triangle are nonobtuse in the metric of ``A^{-1}``"; the metric angles
-  are exposed by :func:`metric_angles` together with the independently
-  computed pairing ``|K| n_i^T A n_j``, whose sign must be opposite to
-  ``cos`` of the metric angle.
+  triangle are nonobtuse in the metric of ``A^{-1}``"; the report holds
+  the metric angle cosines next to the pairing ``|K| n_i^T A n_j``, whose
+  sign must be opposite to ``cos`` of the metric angle.
 
 * **A variable-coefficient version** (:func:`check_theorem_general`)
   that additionally requires the local variation (Lipschitz-to-span
   ratio) to stay below the metric angle cosines, plus a shape-regularity
   bound.  Constant fields trivially satisfy the variation conditions.
+  It is the only check that needs a Lipschitz estimate and the smallest
+  eigenvalue of the field, and it computes both itself.
 
 * **Global matrix audits** (:func:`mmatrix_audit`): sign structure and
   row sums of the reduced matrix pair, and for small systems the dense
@@ -25,7 +26,9 @@ Three layers of checks, from local to global:
 condition for the *unreduced* edge-edge block, which is strictly more
 demanding (it fails already for right angles with the identity tensor);
 :func:`solution_verdict` checks a computed solution against the discrete
-bounds regardless of any theory.
+bounds regardless of any theory.  The per-element checks take the
+:class:`~wgdmp.assembly.ElementData` of the mesh and field, so a caller
+that also assembles builds it once.
 """
 
 from __future__ import annotations
@@ -34,14 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _ElementData, _entry_arrays, ReducedSystem
+from .assembly import ElementData, _entry_arrays, ReducedSystem
 from .solve import WgSolution
-from .tensor import quadrature
 
 __all__ = [
     "PAIRS",
-    "AngleReport",
-    "metric_angles",
     "TheoremDmpReport",
     "check_theorem_dmp",
     "TheoremGeneralReport",
@@ -62,52 +62,7 @@ PAIRS = ((0, 1), (0, 2), (1, 2))
 DENSE_AUDIT_LIMIT = 500
 
 
-def _inv2(a):
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    scale = float(np.abs(a).max())
-    if not det > 1e-14 * scale * scale:
-        raise ValueError(f"matrix is singular or not positive definite "
-                         f"(det = {det:.3e})")
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-
-
-@dataclass
-class AngleReport:
-    """Metric angles of one element.
-
-    ``cos_alpha[p]`` is the cosine of the angle between edge pair
-    ``PAIRS[p]`` measured in the inverse-tensor metric; ``n_inner[p]`` is
-    the independently computed pairing ``|K| n_i^T A n_j``.  For a
-    nonsingular pair the two have opposite signs.
-    """
-
-    element: int
-    cos_alpha: np.ndarray   # (3,)
-    n_inner: np.ndarray     # (3,)
-
-
-def metric_angles(geom, a_avg) -> AngleReport:
-    """Angles of one triangle in the metric of ``a_avg^{-1}``.
-
-    Uses the counterclockwise unit edge directions; the cosine of the
-    metric angle between edges ``i`` and ``j`` is
-    ``-(e_i^T A^{-1} e_j) / (|e_i|_{A^{-1}} |e_j|_{A^{-1}})``.
-    """
-    ainv = _inv2(np.asarray(a_avg, dtype=float))
-    dirs = (np.roll(geom.coords, -1, axis=0) - geom.coords)
-    dirs = dirs / np.sqrt((dirs ** 2).sum(axis=1))[:, None]
-    q = dirs @ ainv @ dirs.T
-    norms = np.sqrt(np.diag(q))
-    cos = np.empty(3)
-    inner = np.empty(3)
-    a = np.asarray(a_avg, dtype=float)
-    for p, (i, j) in enumerate(PAIRS):
-        cos[p] = -q[i, j] / (norms[i] * norms[j])
-        inner[p] = geom.area * geom.outward_normals[i] @ a @ geom.outward_normals[j]
-    return AngleReport(element=geom.element, cos_alpha=cos, n_inner=inner)
-
-
-def _angles_all(ed: _ElementData):
+def _angles_all(ed: ElementData):
     """Vectorized metric angles for all elements: (T,3) cos and pairing."""
     det = (ed.a_avg[:, 0, 0] * ed.a_avg[:, 1, 1]
            - ed.a_avg[:, 0, 1] * ed.a_avg[:, 1, 0])
@@ -126,7 +81,16 @@ def _angles_all(ed: _ElementData):
     return cos, inner
 
 
-def _slack_scale(ed: _ElementData) -> np.ndarray:
+def _eig_min(mats: np.ndarray) -> np.ndarray:
+    """Smaller eigenvalue of symmetric ``(..., 2, 2)`` matrices."""
+    m = np.asarray(mats)
+    half_tr = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    off = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
+    rad = np.sqrt((0.5 * (m[..., 0, 0] - m[..., 1, 1])) ** 2 + off ** 2)
+    return half_tr - rad
+
+
+def _slack_scale(ed: ElementData) -> np.ndarray:
     """Per-element magnitude ``|K| * lam_max(a_avg)`` for tolerances."""
     tr = ed.a_avg[:, 0, 0] + ed.a_avg[:, 1, 1]
     off = 0.5 * (ed.a_avg[:, 0, 1] + ed.a_avg[:, 1, 0])
@@ -160,13 +124,12 @@ class TheoremDmpReport:
         return np.flatnonzero(bad)
 
 
-def check_theorem_dmp(mesh, field, rule=None) -> TheoremDmpReport:
+def check_theorem_dmp(ed: ElementData) -> TheoremDmpReport:
     """Evaluate the per-element pair and correction conditions.
 
     Both are checked with an absolute slack of ``1e-12`` times the
     element magnitude ``|K| lam_max(a_avg)``.
     """
-    ed = _ElementData(mesh, field, rule if rule is not None else quadrature(4))
     cos, inner = _angles_all(ed)
     slack = 1e-12 * _slack_scale(ed)
 
@@ -194,9 +157,14 @@ class TheoremGeneralReport:
     ``(lip * h / lam_min)^2`` against the smallest metric-angle cosine of
     the element (so any obtuse metric angle fails it); condition 2 is the
     shape bound ``h^3 / |K| <= 2 lam_min / (3 lip)``, trivially true for
-    constant fields (``lip = 0``).
+    constant fields (``lip = 0``).  ``lip`` is the field's analytic
+    Lipschitz bound when it has one, else the largest difference quotient
+    between quadrature points of the element; ``lam_min`` is the smallest
+    eigenvalue over the quadrature points and the vertices.
     """
 
+    lip: np.ndarray          # (T,)
+    lam_min: np.ndarray      # (T,)
     cos_min: np.ndarray      # (T,)
     cond1_lhs: np.ndarray    # (T,)
     cond1_pass: np.ndarray   # (T,) bool
@@ -212,20 +180,46 @@ class TheoremGeneralReport:
         return np.flatnonzero(~self.cond1_pass)
 
 
-def check_theorem_general(mesh, field, rule=None) -> TheoremGeneralReport:
-    ed = _ElementData(mesh, field, rule if rule is not None else quadrature(4))
+def _variation(ed: ElementData):
+    """Per-element Lipschitz estimate and smallest eigenvalue of the field.
+
+    Constant-per-element fields have no variation.  Functional fields are
+    sampled again at the quadrature points and at the vertices.
+    """
+    field = ed.field
+    if field.constant_per_element:
+        return np.zeros(ed.mesh.n_elements), _eig_min(ed.a_avg)
+    qp = np.einsum("qb,tbd->tqd", ed.rule.points, ed.coords)  # (T, n, 2)
+    aq = field.sample(qp)                                     # (T, n, 2, 2)
+    av = field.sample(ed.coords)                              # vertices
+    lam_min = np.minimum(_eig_min(aq).min(axis=1), _eig_min(av).min(axis=1))
+    if field.lipschitz_bound is not None:
+        lip = np.full(ed.mesh.n_elements, float(field.lipschitz_bound))
+        return lip, lam_min
+    diff = aq[:, :, None] - aq[:, None, :]
+    num = np.sqrt((diff ** 2).sum(axis=(3, 4)))
+    den = np.sqrt(((qp[:, :, None] - qp[:, None, :]) ** 2).sum(axis=3))
+    eps = 1e-14 * np.maximum(ed.diam, 1e-300)
+    ratio = np.where(den > eps[:, None, None],
+                     num / np.maximum(den, 1e-300), 0.0)
+    return ratio.max(axis=(1, 2)), lam_min
+
+
+def check_theorem_general(ed: ElementData) -> TheoremGeneralReport:
+    lip, lam_min = _variation(ed)
     cos, _ = _angles_all(ed)
     cos_min = cos.min(axis=1)
-    cond1_lhs = (ed.lip * ed.diam / ed.lam_min) ** 2
+    cond1_lhs = (lip * ed.diam / lam_min) ** 2
     cond1_pass = cond1_lhs <= cos_min + 1e-12
     cond2_lhs = ed.diam ** 3 / ed.area
     with np.errstate(divide="ignore"):
-        cond2_rhs = np.where(ed.lip > 0,
-                             2.0 * ed.lam_min / (3.0 * np.maximum(ed.lip, 1e-300)),
+        cond2_rhs = np.where(lip > 0,
+                             2.0 * lam_min / (3.0 * np.maximum(lip, 1e-300)),
                              np.inf)
     cond2_pass = cond2_lhs <= cond2_rhs * (1.0 + 1e-12)
     return TheoremGeneralReport(
-        cos_min=cos_min, cond1_lhs=cond1_lhs, cond1_pass=cond1_pass,
+        lip=lip, lam_min=lam_min, cos_min=cos_min,
+        cond1_lhs=cond1_lhs, cond1_pass=cond1_pass,
         cond2_lhs=cond2_lhs, cond2_rhs=cond2_rhs, cond2_pass=cond2_pass,
         cos_alpha=cos,
         passed=bool(cond1_pass.all() and cond2_pass.all()),
@@ -260,8 +254,7 @@ class FullSystemReport:
         return out
 
 
-def check_full_system_condition(mesh, field, rule=None) -> FullSystemReport:
-    ed = _ElementData(mesh, field, rule if rule is not None else quadrature(4))
+def check_full_system_condition(ed: ElementData) -> FullSystemReport:
     _, _, bb, _ = _entry_arrays(ed)
     slack = 1e-12 * _slack_scale(ed)
 
@@ -270,8 +263,8 @@ def check_full_system_condition(mesh, field, rule=None) -> FullSystemReport:
 
     # interior angle between the edge pair: cos = -e_i . e_j for the
     # counterclockwise directions, sin from the cross product
-    cos_t = np.empty((mesh.n_elements, 3))
-    sin_t = np.empty((mesh.n_elements, 3))
+    cos_t = np.empty((ed.mesh.n_elements, 3))
+    sin_t = np.empty((ed.mesh.n_elements, 3))
     for p, (i, j) in enumerate(PAIRS):
         ei = ed.edge_dirs[:, i]
         ej = ed.edge_dirs[:, j]

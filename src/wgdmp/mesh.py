@@ -15,7 +15,7 @@ Local edge ``l`` of a triangle ``(v0, v1, v2)`` connects vertices
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,8 @@ __all__ = [
     "DegenerateElementError",
     "MeshFormatError",
     "TriMesh",
-    "ElementGeometry",
     "trimesh_from_arrays",
     "generate_structured",
-    "element_geometry",
     "import_mesh",
     "export_mesh",
 ]
@@ -120,32 +118,6 @@ class TriMesh:
         if edge_id < ni:
             return tuple(int(t) for t in self.interior_edge_elements[edge_id])
         return (int(self.boundary_edge_elements[edge_id - ni]),)
-
-
-@dataclass
-class ElementGeometry:
-    """Geometric data of one triangle.
-
-    ``edge_lengths[l]`` and ``outward_normals[l]`` follow the local edge
-    numbering (edge ``l`` connects local vertices ``l`` and ``l+1``).
-    ``c_k`` is the scaling ``2|K| / s_iso`` where ``s_iso`` is the exact
-    integral of ``|x - centroid|^2`` over the triangle.
-    """
-
-    element: int
-    coords: np.ndarray          # (3, 2) vertex coordinates, CCW
-    area: float
-    centroid: np.ndarray        # (2,)
-    edge_lengths: np.ndarray    # (3,)
-    outward_normals: np.ndarray  # (3, 2) unit vectors
-    diameter: float
-    s_iso: float
-    c_k: float
-    midpoints: np.ndarray = field(default=None)  # (3, 2) edge midpoints
-
-    def __post_init__(self):
-        if self.midpoints is None:
-            self.midpoints = 0.5 * (self.coords + np.roll(self.coords, -1, axis=0))
 
 
 def _signed_area(p0, p1, p2):
@@ -329,40 +301,6 @@ def generate_structured(kind: str, nx: int, ny: int,
                     tris += [[a, b, d], [b, c, d]]
 
     return _build_topology(verts, np.array(tris, dtype=np.int64))
-
-
-def element_geometry(mesh: TriMesh, k: int) -> ElementGeometry:
-    """Geometry of triangle ``k``: area, centroid, edge data, scalings.
-
-    ``s_iso`` is computed exactly from the edge midpoints
-    (``|K|/3 * sum |mid_l - centroid|^2``), which integrates the quadratic
-    ``|x - centroid|^2`` without quadrature error.
-    """
-    coords = mesh.vertices[mesh.triangles[k]]
-    area = float(_signed_area(coords[0], coords[1], coords[2]))
-    edge_vec = np.roll(coords, -1, axis=0) - coords
-    lengths = np.sqrt((edge_vec ** 2).sum(axis=1))
-    h = float(lengths.max())
-    if area < 1e-14 * h * h:
-        raise DegenerateElementError(
-            f"triangle {k}: area {area:.3e} below 1e-14 * h^2")
-    centroid = coords.mean(axis=0)
-    # rotate edge vectors by -90 degrees: outward for CCW triangles
-    normals = np.stack([edge_vec[:, 1], -edge_vec[:, 0]], axis=1) / lengths[:, None]
-    mids = 0.5 * (coords + np.roll(coords, -1, axis=0))
-    d = mids - centroid
-    s_iso = area / 3.0 * float((d ** 2).sum())
-    return ElementGeometry(
-        element=k,
-        coords=coords,
-        area=area,
-        centroid=centroid,
-        edge_lengths=lengths,
-        outward_normals=normals,
-        diameter=h,
-        s_iso=s_iso,
-        c_k=2.0 * area / s_iso,
-    )
 
 
 def import_mesh(path) -> TriMesh:

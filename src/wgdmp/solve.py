@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import WgSystem, ReducedSystem, schur_algebraic
+from .assembly import (ElementData, WgSystem, ReducedSystem, assemble,
+                       schur_algebraic)
 from .mesh import TriMesh
 
 __all__ = [
@@ -191,12 +192,10 @@ def vertex_average(mesh: TriMesh, solution: WgSolution) -> np.ndarray:
     return total / count
 
 
-def solve_problem(mesh: TriMesh, field, f=None, g=None, rule=None,
+def solve_problem(data: ElementData, f=None, g=None,
                   config: SolverConfig | None = None) -> WgSolution:
     """Assemble, reduce, solve and recover in one call."""
-    from .assembly import assemble
-
-    system = assemble(mesh, field, f=f, g=g, rule=rule)
+    system = assemble(data, f=f, g=g)
     reduced = schur_algebraic(system)
     ub, resid = solve_reduced(reduced, system.g_h, config)
     u0 = recover_interior(system, ub, system.g_h)

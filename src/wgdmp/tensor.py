@@ -1,21 +1,18 @@
-"""Diffusion tensor fields, triangle quadrature, and element moments.
+"""Diffusion tensor fields and triangle quadrature.
 
 A tensor field assigns a symmetric positive definite 2x2 matrix to every
 point of the domain.  Three variants exist: spatially constant, constant
 per element (one matrix per triangle), and functional (an arbitrary
-callable, optionally with an analytic Lipschitz bound).  The assembly
-only ever consumes fields through :func:`element_moments`, which reduces
-a field to a handful of per-element integrals:
+callable, optionally with an analytic Lipschitz bound).  Every entry is
+checked when it is read: non-finite, unsymmetric or indefinite matrices
+raise :class:`FieldValidityError`.
 
-* ``a_avg``  -- the averaged matrix ``|K|^-1 \\int_K A``
-* ``s_a``    -- ``\\int_K (A (x - x_K)) . (x - x_K)``
-* ``m[l]``   -- ``\\int_K (A (x - x_K)) . n_l`` per local edge
-* ``n_mat``  -- ``|K| n_i^T a_avg n_j`` for all local edge pairs
-
-For constant and per-element-constant fields these moments are computed
-in closed form (the second moment of a triangle about its centroid is
-``|K|/3 * sum_l (mid_l - x_K)(mid_l - x_K)^T``), so ``m`` is exactly zero
-there.  Functional fields use a quadrature rule of degree >= 2.
+Fields are consumed through :class:`wgdmp.assembly.ElementData`, which
+reduces a field to a handful of per-element integrals: the averaged
+matrix, the weighted second moment about the centroid, the edge moments
+and the normal pairings.  Constant and per-element-constant fields are
+integrated exactly there; functional fields use a rule from
+:func:`quadrature` of degree >= 2.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ __all__ = [
     "PiecewiseConstantField",
     "FunctionalField",
     "load_piecewise_field",
-    "ElementMoments",
-    "element_moments",
     "example_fields",
 ]
 
@@ -57,17 +52,6 @@ class QuadratureRule:
     degree: int
     points: np.ndarray
     weights: np.ndarray
-
-    def physical_points(self, coords: np.ndarray) -> np.ndarray:
-        """Map the rule onto a triangle given by ``(3, 2)`` coordinates."""
-        return self.points @ coords
-
-    def integrate(self, coords: np.ndarray, values: np.ndarray) -> float:
-        """Integrate from point values; ``values`` has shape ``(n, ...)``."""
-        p = np.asarray(coords)
-        area = 0.5 * abs((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                         - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0]))
-        return area * np.tensordot(self.weights, values, axes=1)
 
 
 # Degree-4 six point rule: two symmetry orbits.  The orbit parameters are
@@ -112,8 +96,11 @@ def quadrature(degree: int) -> QuadratureRule:
 # fields
 
 def _check_spd(mats: np.ndarray, where: str) -> None:
-    """Validate symmetry and positive definiteness of ``(..., 2, 2)``."""
+    """Validate finiteness, symmetry and positive definiteness of
+    ``(..., 2, 2)`` matrices."""
     m = np.asarray(mats, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise FieldValidityError(f"tensor has non-finite entries {where}")
     asym = np.abs(m[..., 0, 1] - m[..., 1, 0])
     scale = np.abs(m).reshape(*m.shape[:-2], 4).max(axis=-1)
     if np.any(asym > 1e-12 * np.maximum(scale, 1e-300)):
@@ -122,16 +109,6 @@ def _check_spd(mats: np.ndarray, where: str) -> None:
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     if np.any(tr <= 0) or np.any(det <= 0):
         raise FieldValidityError(f"tensor not positive definite {where}")
-
-
-def _lam_min(mats: np.ndarray) -> np.ndarray:
-    """Smaller eigenvalue of symmetric ``(..., 2, 2)`` matrices."""
-    m = np.asarray(mats, dtype=float)
-    half_tr = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    # symmetrize the off-diagonal before the discriminant
-    off = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
-    rad = np.sqrt((0.5 * (m[..., 0, 0] - m[..., 1, 1])) ** 2 + off ** 2)
-    return half_tr - rad
 
 
 class TensorField:
@@ -220,8 +197,8 @@ class FunctionalField(TensorField):
     return an array broadcastable to ``x.shape + (2, 2)``.  Positive
     definiteness is checked wherever the field is actually sampled.  Pass
     ``lip`` when an analytic Lipschitz bound (of the Frobenius norm) is
-    available; otherwise a finite-difference estimate over quadrature
-    points is used by :func:`element_moments`.
+    available; otherwise :func:`wgdmp.dmp.check_theorem_general` uses a
+    finite-difference estimate over the quadrature points.
     """
 
     constant_per_element = False
@@ -265,6 +242,9 @@ def load_piecewise_field(path, n_elements: int | None = None) -> PiecewiseConsta
             except ValueError as exc:
                 raise FieldValidityError(
                     f"{path}:{lineno}: bad number in {body!r}") from exc
+            if not np.all(np.isfinite(rows[-1])):
+                raise FieldValidityError(
+                    f"{path}:{lineno}: non-finite number in {body!r}")
     if n_elements is not None and len(rows) != n_elements:
         raise FieldValidityError(
             f"{path}: {len(rows)} field lines for {n_elements} elements")
@@ -274,74 +254,6 @@ def load_piecewise_field(path, n_elements: int | None = None) -> PiecewiseConsta
     mats[:, 0, 1] = mats[:, 1, 0] = vals[:, 1]
     mats[:, 1, 1] = vals[:, 2]
     return PiecewiseConstantField(mats)
-
-
-# ---------------------------------------------------------------------------
-# moments
-
-@dataclass
-class ElementMoments:
-    """Per-element integrals of the tensor field (see module docstring)."""
-
-    element: int
-    a_avg: np.ndarray    # (2, 2)
-    s_a: float
-    m: np.ndarray        # (3,)
-    n_mat: np.ndarray    # (3, 3): |K| n_i^T a_avg n_j
-    lam_min: float
-    lip: float
-
-
-def element_moments(geom, field: TensorField,
-                    rule: QuadratureRule | None = None) -> ElementMoments:
-    """Reduce a field to the per-element integrals used by the assembly.
-
-    Constant and per-element-constant fields are integrated exactly; in
-    that case ``m`` is identically zero and ``lip`` is zero.  Functional
-    fields require ``rule`` of degree >= 2, and the smallest eigenvalue is
-    tracked over the quadrature points plus the three vertices.
-    """
-    nrm = geom.outward_normals
-    if field.constant_per_element:
-        a = field.matrix_on(geom.element)
-        d = geom.midpoints - geom.centroid
-        # exact second moment about the centroid
-        smat = geom.area / 3.0 * (d[:, :, None] * d[:, None, :]).sum(axis=0)
-        s_a = float((a * smat).sum())
-        m = np.zeros(3)
-        a_avg = a
-        lam = float(_lam_min(a))
-        lip = 0.0
-    else:
-        if rule is None or rule.degree < 2:
-            raise ValueError("functional fields need a quadrature rule of "
-                             "degree >= 2 for the element moments")
-        qp = rule.physical_points(geom.coords)
-        aq = field.sample(qp)                       # (n, 2, 2)
-        w = rule.weights
-        a_avg = np.tensordot(w, aq, axes=1)
-        d = qp - geom.centroid                      # (n, 2)
-        ad = np.einsum("qab,qb->qa", aq, d)
-        s_a = geom.area * float(np.einsum("q,qa,qa->", w, ad, d))
-        m = geom.area * np.einsum("q,qa,la->l", w, ad, nrm)
-        av = field.sample(geom.coords)              # vertices too
-        lam = float(min(_lam_min(aq).min(), _lam_min(av).min()))
-        if field.lipschitz_bound is not None:
-            lip = float(field.lipschitz_bound)
-        else:
-            diff = aq[:, None] - aq[None, :]
-            num = np.sqrt((diff ** 2).sum(axis=(2, 3)))
-            den = np.sqrt(((qp[:, None] - qp[None, :]) ** 2).sum(axis=2))
-            mask = den > 1e-14 * max(geom.diameter, 1e-300)
-            lip = float((num[mask] / den[mask]).max()) if mask.any() else 0.0
-
-    if s_a <= 0:
-        raise FieldValidityError(
-            f"element {geom.element}: nonpositive weighted moment "
-            f"s_a = {s_a:.3e}")
-    n_mat = geom.area * (nrm @ a_avg @ nrm.T)
-    return ElementMoments(element=geom.element, a_avg=a_avg, s_a=s_a,
-                          m=m, n_mat=n_mat, lam_min=lam, lip=lip)
 
 
 # ---------------------------------------------------------------------------

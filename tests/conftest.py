@@ -3,12 +3,18 @@
 The exact integral oracle expands monomials in barycentric coordinates
 and uses the factorial formula
 ``int_K l1^a l2^b l3^c = a! b! c! / (a+b+c+2)! * 2|K|`` — independent of
-any quadrature rule in the package.
+any quadrature rule in the package.  :func:`quad_integrate` applies a
+package rule to one triangle, so that the rules can be checked against
+that oracle.
 """
 
 from math import factorial
 
 import numpy as np
+
+from wgdmp.assembly import ElementData
+from wgdmp.mesh import trimesh_from_arrays
+from wgdmp.tensor import ConstantField
 
 
 def exact_monomial(coords, a, b):
@@ -71,3 +77,20 @@ def random_spd(rng, lam_lo=0.5, lam_hi=50.0):
     rot = np.array([[c, -s], [s, c]])
     lam = rng.uniform(lam_lo, lam_hi, size=2)
     return rot @ np.diag(lam) @ rot.T
+
+
+def triangle_area(coords):
+    (x1, y1), (x2, y2), (x3, y3) = np.asarray(coords, dtype=float)
+    return 0.5 * abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
+
+
+def quad_integrate(rule, coords, values):
+    """Integral over a triangle from ``values`` (shape ``(n, ...)``) at the
+    rule's points ``rule.points @ coords``."""
+    return triangle_area(coords) * np.tensordot(rule.weights, values, axes=1)
+
+
+def single_element(coords, field=None, rule=None):
+    """ElementData of a one-triangle mesh (identity tensor by default)."""
+    mesh = trimesh_from_arrays(coords, [[0, 1, 2]])
+    return ElementData(mesh, field or ConstantField(np.eye(2)), rule)

@@ -7,13 +7,15 @@ the status of every criterion, then asserts the same conditions.
 
 import numpy as np
 import pytest
-from conftest import exact_monomial, random_spd, random_triangle
+from conftest import (exact_monomial, quad_integrate, random_spd,
+                      random_triangle, single_element)
 from test_assembly import _cr_stiffness
 
-from wgdmp.assembly import assemble, schur_algebraic, schur_closed_form
+from wgdmp.assembly import (ElementData, assemble, schur_algebraic,
+                            schur_closed_form)
 from wgdmp.dmp import (check_full_system_condition, check_theorem_dmp,
                        check_theorem_general, mmatrix_audit, solution_verdict)
-from wgdmp.mesh import element_geometry, generate_structured, trimesh_from_arrays
+from wgdmp.mesh import generate_structured
 from wgdmp.solve import SolverConfig, solve_problem
 from wgdmp.tensor import (ConstantField, PiecewiseConstantField,
                           example_fields, quadrature)
@@ -36,7 +38,7 @@ def ex51_verdicts():
     for kind in ("mesh45", "mesh90", "mesh135"):
         for n in SIZES:
             mesh = generate_structured(kind, n, n, DOMAIN51)
-            sol = solve_problem(mesh, field, f=f, g=g)
+            sol = solve_problem(ElementData(mesh, field), f=f, g=g)
             out[kind, n] = solution_verdict(sol)
     return out
 
@@ -49,7 +51,7 @@ def ex52_verdicts():
         for kind in ("mesh45", "mesh90"):
             for n in SIZES:
                 mesh = generate_structured(kind, n, n)
-                sol = solve_problem(mesh, field, f=f, g=g)
+                sol = solve_problem(ElementData(mesh, field), f=f, g=g)
                 out[kind, gamma, n] = solution_verdict(sol)
     return out
 
@@ -133,7 +135,8 @@ def test_acceptance_4_angle_audits(capsys):
         for kind, want in (("mesh45", True), ("mesh90", True),
                            ("mesh135", False)):
             mesh = generate_structured(kind, n, n, DOMAIN51)
-            if check_theorem_dmp(mesh, field51).passed is not want:
+            if check_theorem_dmp(
+                    ElementData(mesh, field51)).passed is not want:
                 thm_ok = False
 
     general_ok = True
@@ -142,7 +145,7 @@ def test_acceptance_4_angle_audits(capsys):
     cen_y = mesh.vertices[mesh.triangles].mean(axis=1)[:, 1]
     for gamma in GAMMAS:
         field, _, _ = example_fields("example52", gamma=gamma)
-        rep = check_theorem_general(mesh, field)
+        rep = check_theorem_general(ElementData(mesh, field))
         flagged = np.zeros(mesh.n_elements, dtype=bool)
         flagged[rep.flagged_elements] = True
         strict = (cen_y < 0.5) & (rep.cos_min < -1e-12)
@@ -175,8 +178,9 @@ def test_acceptance_5_oracle_equivalence(capsys):
         fc = float(rng.normal())
         closed = schur_closed_form(mesh, field,
                                    f=lambda x, y, c=fc: np.full(np.shape(x), c))
-        alg = schur_algebraic(assemble(mesh, field,
-                                       f=lambda x, y, c=fc: np.full(np.shape(x), c)))
+        alg = schur_algebraic(assemble(
+            ElementData(mesh, field),
+            f=lambda x, y, c=fc: np.full(np.shape(x), c)))
         scale = np.abs(alg.a_mat.toarray()).max()
         schur_dev = max(
             schur_dev,
@@ -206,9 +210,10 @@ def test_acceptance_5_oracle_equivalence(capsys):
         (generate_structured("mesh45", 6, 6), field52, f52, g52),
     ]
     for mesh, field, f, g in cases:
-        a = solve_problem(mesh, field, f=f, g=g,
+        data = ElementData(mesh, field)
+        a = solve_problem(data, f=f, g=g,
                           config=SolverConfig(method="conjugate-gradient-jacobi"))
-        b = solve_problem(mesh, field, f=f, g=g,
+        b = solve_problem(data, f=f, g=g,
                           config=SolverConfig(method="sparse-direct"))
         solver_dev = max(solver_dev,
                          np.abs(a.ub - b.ub).max(),
@@ -242,16 +247,11 @@ def test_acceptance_6_structural_invariants(capsys):
 
     # scaled outward normals of every element sum to zero
     closure_dev = 0.0
-    mesh = generate_structured("mesh90", 3, 3)
-    for t in range(mesh.n_elements):
-        geom = element_geometry(mesh, t)
+    for data in ([ElementData(generate_structured("mesh90", 3, 3),
+                              ConstantField(np.eye(2)))]
+                 + [single_element(random_triangle(rng)) for _ in range(20)]):
         closure_dev = max(closure_dev, np.abs(
-            (geom.edge_lengths[:, None] * geom.outward_normals).sum(axis=0)).max())
-    for _ in range(20):
-        tri = random_triangle(rng)
-        geom = element_geometry(trimesh_from_arrays(tri, [[0, 1, 2]]), 0)
-        closure_dev = max(closure_dev, np.abs(
-            (geom.edge_lengths[:, None] * geom.outward_normals).sum(axis=0)).max())
+            (data.lens[:, :, None] * data.nrm).sum(axis=1)).max())
     closure_ok = closure_dev <= 1e-13
 
     # the reduced matrix is symmetric positive definite (dense check)
@@ -269,7 +269,7 @@ def test_acceptance_6_structural_invariants(capsys):
 
     # constant boundary data is reproduced exactly
     mesh = generate_structured("mesh135", 3, 3, DOMAIN51)
-    sol = solve_problem(mesh, example_fields("example51")[0],
+    sol = solve_problem(ElementData(mesh, example_fields("example51")[0]),
                         g=lambda x, y: np.full(np.shape(x), 2.5))
     const_dev = max(np.abs(sol.u0 - 2.5).max(), np.abs(sol.ub - 2.5).max())
     const_ok = const_dev <= 1e-10 * 2.5
@@ -280,10 +280,11 @@ def test_acceptance_6_structural_invariants(capsys):
         rule = quadrature(degree)
         for _ in range(20):
             tri = random_triangle(rng)
-            pts = rule.physical_points(tri)
+            pts = rule.points @ tri
             for a in range(degree + 1):
                 for b in range(degree + 1 - a):
-                    got = rule.integrate(tri, pts[:, 0] ** a * pts[:, 1] ** b)
+                    got = quad_integrate(rule, tri,
+                                         pts[:, 0] ** a * pts[:, 1] ** b)
                     want = exact_monomial(tri, a, b)
                     quad_dev = max(quad_dev, abs(got - want) / abs(want))
     quad_ok = quad_dev <= 1e-14
@@ -299,11 +300,12 @@ def test_acceptance_6_structural_invariants(capsys):
 def test_acceptance_7_block_vs_reduced(capsys):
     field = ConstantField(np.eye(2))
     mesh = generate_structured("mesh45", 4, 4)
+    data = ElementData(mesh, field)
 
-    thm_passed = bool(check_theorem_dmp(mesh, field).passed)
+    thm_passed = bool(check_theorem_dmp(data).passed)
     mm_passed = bool(mmatrix_audit(schur_closed_form(mesh, field)).passed)
 
-    fs = check_full_system_condition(mesh, field)
+    fs = check_full_system_condition(data)
     fs_failed = not fs.passed
     bad = ~fs.mbb_pass
     right_angle = np.abs(fs.cot_theta) < 1e-12

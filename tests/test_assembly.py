@@ -1,56 +1,49 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import exact_monomial, random_spd, random_triangle
+from conftest import (exact_monomial, quad_integrate, random_spd,
+                      random_triangle, single_element)
 
-from wgdmp.assembly import (ReducedSystem, WgSystem, assemble,
+from wgdmp.assembly import (ElementData, ReducedSystem, WgSystem, assemble,
                             boundary_averages, export_matrix_triplets,
-                            schur_algebraic, schur_closed_form,
-                            weak_gradient_basis)
-from wgdmp.mesh import element_geometry, generate_structured, trimesh_from_arrays
+                            schur_algebraic, schur_closed_form)
+from wgdmp.dmp import PAIRS, check_full_system_condition
+from wgdmp.mesh import generate_structured, trimesh_from_arrays
 from wgdmp.tensor import (ConstantField, FieldValidityError, FunctionalField,
                           PiecewiseConstantField, example_fields, quadrature)
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def single_triangle_geom(tri=UNIT_RIGHT):
-    return element_geometry(trimesh_from_arrays(tri, [[0, 1, 2]]), 0)
+def weak_gradient(data, which):
+    """``(radial, constant part)`` of a basis weak gradient on element 0,
+    by the formulas of the assembly module docstring: ``which`` is
+    ``"element"`` or a local edge index."""
+    if which == "element":
+        return -data.c_k[0], np.zeros(2)
+    return (data.c_k[0] / 3.0,
+            data.lens[0, which] / data.area[0] * data.nrm[0, which])
 
 
-def eval_weak_gradient(wg, geom, pts):
+def eval_weak_gradient(wg, data, pts):
     """Pointwise values of radial * (x - x_K) + const at (n, 2) points."""
-    return wg.radial * (pts - geom.centroid) + wg.constant_part
+    radial, const = wg
+    return radial * (pts - data.cen[0]) + const
 
 
 # ---------------------------------------------------------------------------
 # weak gradient basis
 
 def test_weak_gradient_unit_right_frozen():
-    geom = single_triangle_geom()
-    el = weak_gradient_basis(geom, "element")
-    assert el.radial == pytest.approx(-18.0, rel=1e-13)
-    assert el.constant_part == pytest.approx([0.0, 0.0], abs=0.0)
-
-    bottom = weak_gradient_basis(geom, 0)
-    assert bottom.radial == pytest.approx(6.0, rel=1e-13)
-    assert bottom.constant_part == pytest.approx([0.0, -2.0], rel=1e-14)
-
-    hyp = weak_gradient_basis(geom, 1)
-    assert hyp.radial == pytest.approx(6.0, rel=1e-13)
-    assert hyp.constant_part == pytest.approx([2.0, 2.0], rel=1e-14)
-
-    left = weak_gradient_basis(geom, 2)
-    assert left.radial == pytest.approx(6.0, rel=1e-13)
-    assert left.constant_part == pytest.approx([-2.0, 0.0], rel=1e-14)
-
-
-def test_weak_gradient_bad_index():
-    geom = single_triangle_geom()
-    with pytest.raises(ValueError):
-        weak_gradient_basis(geom, 3)
-    with pytest.raises(ValueError):
-        weak_gradient_basis(geom, "edge")
+    data = single_element(UNIT_RIGHT)
+    radial, const = weak_gradient(data, "element")
+    assert radial == pytest.approx(-18.0, rel=1e-13)
+    assert const == pytest.approx([0.0, 0.0], abs=0.0)
+    # bottom, hypotenuse, left
+    for l, want in enumerate(([0.0, -2.0], [2.0, 2.0], [-2.0, 0.0])):
+        radial, const = weak_gradient(data, l)
+        assert radial == pytest.approx(6.0, rel=1e-13)
+        assert const == pytest.approx(want, rel=1e-14)
 
 
 def test_weak_gradient_integral_values():
@@ -59,16 +52,17 @@ def test_weak_gradient_integral_values():
     rule = quadrature(2)
     for _ in range(25):
         tri = random_triangle(rng)
-        geom = single_triangle_geom(tri)
-        pts = rule.physical_points(tri)
-        vec = rule.integrate(tri, eval_weak_gradient(
-            weak_gradient_basis(geom, "element"), geom, pts))
-        assert np.abs(vec).max() <= 1e-13 * geom.c_k
+        data = single_element(tri)
+        pts = rule.points @ tri
+        vec = quad_integrate(rule, tri, eval_weak_gradient(
+            weak_gradient(data, "element"), data, pts))
+        assert np.abs(vec).max() <= 1e-13 * data.c_k[0]
         for l in range(3):
-            vec = rule.integrate(tri, eval_weak_gradient(
-                weak_gradient_basis(geom, l), geom, pts))
-            want = geom.edge_lengths[l] * geom.outward_normals[l]
-            assert vec == pytest.approx(want, rel=1e-12)
+            vec = quad_integrate(rule, tri, eval_weak_gradient(
+                weak_gradient(data, l), data, pts))
+            # edge vector rotated by -90 degrees: |e_l| n_l from raw coords
+            ev = tri[(l + 1) % 3] - tri[l]
+            assert vec == pytest.approx([ev[1], -ev[0]], rel=1e-12)
 
 
 def test_weak_gradient_defining_relation():
@@ -80,13 +74,13 @@ def test_weak_gradient_defining_relation():
     rule = quadrature(2)
     for _ in range(50):
         tri = random_triangle(rng)
-        geom = single_triangle_geom(tri)
-        pts = rule.physical_points(tri)
-        area = geom.area
-        mids = geom.midpoints
-        cen = geom.centroid
-        lens = geom.edge_lengths
-        nrms = geom.outward_normals
+        data = single_element(tri)
+        pts = rule.points @ tri
+        area = data.area[0]
+        mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
+        cen = data.cen[0]
+        lens = data.lens[0]
+        nrms = data.nrm[0]
 
         cases = []  # (q values at pts, div q, exact edge integrals of q.n)
         for q in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
@@ -95,17 +89,41 @@ def test_weak_gradient_defining_relation():
         edge_ints = lens * np.einsum("la,la->l", mids - cen, nrms)
         cases.append((pts - cen, 2.0, edge_ints))
 
-        scale = geom.c_k * max(1.0, area)
+        scale = data.c_k[0] * max(1.0, area)
         for which, phi0, phib in [("element", 1.0, np.zeros(3)),
                                   (0, 0.0, np.eye(3)[0]),
                                   (1, 0.0, np.eye(3)[1]),
                                   (2, 0.0, np.eye(3)[2])]:
-            wg = weak_gradient_basis(geom, which)
-            vals = eval_weak_gradient(wg, geom, pts)
+            vals = eval_weak_gradient(weak_gradient(data, which), data, pts)
             for qv, divq, edge_ints in cases:
-                lhs = rule.integrate(tri, (vals * qv).sum(axis=1))
+                lhs = quad_integrate(rule, tri, (vals * qv).sum(axis=1))
                 rhs = -phi0 * divq * area + phib @ edge_ints
                 assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def test_entries_are_weak_gradient_gram_matrix():
+    # every element entry is (A grad_w phi_i, grad_w phi_j)_K; with affine
+    # tensor entries the integrands are cubic, so the degree-4 rule is exact
+    rng = np.random.default_rng(31)
+    rule = quadrature(4)
+    for _ in range(10):
+        tri = random_triangle(rng)
+        data = single_element(tri, _affine_field())
+        pts = rule.points @ tri
+        aq = data.field.sample(pts)
+        vals = [eval_weak_gradient(weak_gradient(data, w), data, pts)
+                for w in ("element", 0, 1, 2)]
+        gram = np.array([[quad_integrate(rule, tri, np.einsum(
+            "qa,qab,qb->q", vi, aq, vj)) for vj in vals] for vi in vals])
+        scale = np.abs(gram).max()
+        system = assemble(data)
+        local_edges = data.mesh.element_to_edges[0]     # all boundary here
+        m0b = system.m0b_bdry.toarray()[0, local_edges]
+        assert abs(system.m00_diag[0] - gram[0, 0]) <= 1e-12 * scale
+        assert np.abs(m0b - gram[0, 1:]).max() <= 1e-12 * scale
+        offdiag = check_full_system_condition(data).mbb_offdiag[0]
+        want = [gram[1 + i, 1 + j] for i, j in PAIRS]
+        assert np.abs(offdiag - want).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +131,7 @@ def test_weak_gradient_defining_relation():
 
 def test_single_triangle_blocks():
     mesh = trimesh_from_arrays(UNIT_RIGHT, [[0, 1, 2]])
-    system = assemble(mesh, ConstantField(np.eye(2)))
+    system = assemble(ElementData(mesh, ConstantField(np.eye(2))))
     assert system.m00_diag == pytest.approx([18.0], rel=1e-13)
     assert system.m0b.shape == (1, 0)
     assert system.m0b_bdry.toarray() == pytest.approx(
@@ -127,7 +145,7 @@ def test_unit_square_pair_blocks():
     # two right triangles sharing the diagonal; every block entry has a
     # short closed form for the identity tensor
     mesh = generate_structured("mesh45", 1, 1)
-    system = assemble(mesh, ConstantField(np.eye(2)))
+    system = assemble(ElementData(mesh, ConstantField(np.eye(2))))
     assert mesh.n_interior_edges == 1
     assert system.m00_diag == pytest.approx([18.0, 18.0], rel=1e-13)
     assert system.m0b.toarray() == pytest.approx(
@@ -233,7 +251,7 @@ def _cross_check_cases():
 def test_schur_closed_form_matches_algebraic():
     for mesh, field, f in _cross_check_cases():
         closed = schur_closed_form(mesh, field, f=f)
-        alg = schur_algebraic(assemble(mesh, field, f=f))
+        alg = schur_algebraic(assemble(ElementData(mesh, field), f=f))
         scale = np.abs(alg.a_mat.data).max()
         assert np.abs((closed.a_mat - alg.a_mat).toarray()).max() \
             <= 1e-10 * scale
@@ -331,12 +349,10 @@ def test_boundary_averages_exact_for_cubic():
 def test_source_integrals_via_assemble():
     mesh = generate_structured("mesh45", 2, 2, (0, 0, 2, 2))
     field = ConstantField(np.eye(2))
-    system = assemble(mesh, field, f=lambda x, y: -1.0)
-    areas = np.array([element_geometry(mesh, t).area
-                      for t in range(mesh.n_elements)])
-    assert system.f0 == pytest.approx(-areas, rel=1e-14)
+    system = assemble(ElementData(mesh, field), f=lambda x, y: -1.0)
+    assert system.f0 == pytest.approx(np.full(8, -0.5), rel=1e-14)
 
-    system = assemble(mesh, field, f=lambda x, y: x + y)
+    system = assemble(ElementData(mesh, field), f=lambda x, y: x + y)
     want = []
     for t in range(mesh.n_elements):
         tri = mesh.vertices[mesh.triangles[t]]
@@ -348,14 +364,14 @@ def test_piecewise_field_count_mismatch():
     mesh = generate_structured("mesh45", 2, 2)   # 8 elements
     field = PiecewiseConstantField(np.broadcast_to(np.eye(2), (7, 2, 2)))
     with pytest.raises(FieldValidityError, match="7"):
-        assemble(mesh, field)
+        ElementData(mesh, field)
 
 
 def test_functional_field_rejects_low_degree_rule():
     mesh = generate_structured("mesh45", 2, 2)
     field, _, _ = example_fields("example52", gamma=1.0)
     with pytest.raises(ValueError, match="degree"):
-        assemble(mesh, field, rule=quadrature(1))
+        ElementData(mesh, field, quadrature(1))
 
 
 def test_export_matrix_triplets_roundtrip(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from wgdmp.assembly import ElementData
 from wgdmp.cli import main, run_example1, run_example2, run_trend
 from wgdmp.mesh import export_mesh, generate_structured
 from wgdmp.solve import solve_problem
-from wgdmp.tensor import example_fields
+from wgdmp.tensor import FunctionalField, example_fields
 
 
 def read_csv(path):
@@ -42,7 +43,7 @@ def test_solve_csv_round_trip(tmp_path):
     assert rc == 0
     field, f, g = example_fields("example51")
     mesh = generate_structured("mesh45", 4, 4, (0, 0, 16, 16))
-    sol = solve_problem(mesh, field, f=f, g=g)
+    sol = solve_problem(ElementData(mesh, field), f=f, g=g)
 
     _, rows = read_csv(tmp_path / "solution.csv")
     by_kind = {}
@@ -140,6 +141,47 @@ def test_audit_full_system_flag(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "full_system.csv")
     assert header == "element,pair,cos_alpha,n_inner,pass"
     assert len(rows) == 3 * 2 * 4 * 4
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("audit", ["--full-system"]),
+    ("solve", []),
+])
+def test_one_element_data_build(command, extra, tmp_path, monkeypatch):
+    # one build samples the field at the six points of the degree-4 rule
+    # of each element and nowhere else: no second build and no vertex
+    # samples for a Lipschitz estimate that no command reads
+    sampled = []
+    sample = FunctionalField.sample
+
+    def counting(self, points, element=None):
+        sampled.append(np.size(points) // 2)
+        return sample(self, points, element)
+
+    monkeypatch.setattr(FunctionalField, "sample", counting)
+    rc = main([command, "--mesh", "mesh45", "--size", "8",
+               "--field", "example52", "--out", str(tmp_path)] + extra)
+    assert rc in (0, 1)             # ran to the end; the ring may fail
+    assert sum(sampled) == 6 * 2 * 8 * 8
+
+
+def test_audit_rejects_solver_flags(tmp_path, capsys):
+    # audit never solves, so the solver flags are not its options
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--mesh", "mesh45", "--size", "4", "--field",
+              "identity", "--method", "bogus", "--tol", "5",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
+def test_audit_nonfinite_field_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "field.txt"
+    path.write_text("1 0 1\n" * 3 + "nan 0 1\n" + "1 0 1\n" * 4)
+    rc = main(["audit", "--mesh", "mesh45", "--size", "2",
+               "--field", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{path}:4: non-finite" in capsys.readouterr().err
 
 
 def test_audit_malformed_mesh(tmp_path, capsys):

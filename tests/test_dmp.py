@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import random_spd, random_triangle
+from conftest import random_spd, random_triangle, single_element
 
-from wgdmp.assembly import ReducedSystem, schur_closed_form
+from wgdmp.assembly import ElementData, ReducedSystem, schur_closed_form
 from wgdmp.dmp import (PAIRS, FullSystemReport, TheoremDmpReport,
                        check_full_system_condition, check_theorem_dmp,
-                       check_theorem_general, metric_angles, mmatrix_audit,
+                       check_theorem_general, mmatrix_audit,
                        solution_verdict, write_angle_report, write_violations)
-from wgdmp.mesh import element_geometry, generate_structured, trimesh_from_arrays
+from wgdmp.mesh import generate_structured
 from wgdmp.solve import WgSolution, solve_problem
-from wgdmp.tensor import ConstantField, example_fields
+from wgdmp.tensor import ConstantField, FieldValidityError, example_fields
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def geom_of(tri):
-    return element_geometry(trimesh_from_arrays(tri, [[0, 1, 2]]), 0)
+def metric_angles(tri, a):
+    """Metric-angle cosines and normal pairings ``|K| n_i^T A n_j`` of one
+    triangle under a constant tensor, per edge pair of :data:`PAIRS`."""
+    rep = check_theorem_dmp(single_element(tri, ConstantField(a)))
+    return rep.cos_alpha[0], rep.pair_lhs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -24,30 +27,29 @@ def geom_of(tri):
 
 def test_metric_angles_equilateral():
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-    rep = metric_angles(geom_of(tri), np.eye(2))
-    assert rep.cos_alpha == pytest.approx(np.full(3, 0.5), abs=1e-14)
-    assert np.all(rep.n_inner < 0)
+    cos, inner = metric_angles(tri, np.eye(2))
+    assert cos == pytest.approx(np.full(3, 0.5), abs=1e-14)
+    assert np.all(inner < 0)
 
 
 def test_metric_angles_unit_right_identity():
-    rep = metric_angles(geom_of(UNIT_RIGHT), np.eye(2))
+    cos, inner = metric_angles(UNIT_RIGHT, np.eye(2))
     # pair order (0,1), (0,2), (1,2): angles 45, 90, 45 degrees
     r = np.sqrt(0.5)
-    assert rep.cos_alpha == pytest.approx([r, 0.0, r], abs=1e-14)
+    assert cos == pytest.approx([r, 0.0, r], abs=1e-14)
     # pairing |K| n_i . n_j: opposite sign to cos, zero at the right angle
-    assert rep.n_inner == pytest.approx([-0.5 * r, 0.0, -0.5 * r], abs=1e-14)
+    assert inner == pytest.approx([-0.5 * r, 0.0, -0.5 * r], abs=1e-14)
 
 
 def test_metric_angles_anisotropy_flips_sign():
     # the right angle of the unit right triangle becomes obtuse in the
     # metric of the inverse of the strongly coupled tensor
     field, _, _ = example_fields("example51")
-    a = field.matrix_on(0)
-    rep = metric_angles(geom_of(UNIT_RIGHT), a)
-    assert rep.cos_alpha[1] == pytest.approx(-499.5 / 500.5, rel=1e-12)
-    assert rep.n_inner[1] == pytest.approx(0.5 * 499.5, rel=1e-12)
-    assert np.all(rep.cos_alpha[[0, 2]] > 0.999)
-    assert np.all(rep.n_inner[[0, 2]] < 0)
+    cos, inner = metric_angles(UNIT_RIGHT, field.matrix_on(0))
+    assert cos[1] == pytest.approx(-499.5 / 500.5, rel=1e-12)
+    assert inner[1] == pytest.approx(0.5 * 499.5, rel=1e-12)
+    assert np.all(cos[[0, 2]] > 0.999)
+    assert np.all(inner[[0, 2]] < 0)
 
 
 def test_metric_angles_sign_equivalence_random():
@@ -57,18 +59,18 @@ def test_metric_angles_sign_equivalence_random():
     checked = 0
     for _ in range(200):
         tri = random_triangle(rng)
-        a = random_spd(rng)
-        rep = metric_angles(geom_of(tri), a)
+        cos, inner = metric_angles(tri, random_spd(rng))
         for p in range(3):
-            if abs(rep.cos_alpha[p]) > 1e-12 and abs(rep.n_inner[p]) > 0:
-                assert np.sign(rep.cos_alpha[p]) == -np.sign(rep.n_inner[p])
+            if abs(cos[p]) > 1e-12 and abs(inner[p]) > 0:
+                assert np.sign(cos[p]) == -np.sign(inner[p])
                 checked += 1
     assert checked > 500
 
 
 def test_metric_angles_rejects_singular_matrix():
-    with pytest.raises(ValueError, match="singular"):
-        metric_angles(geom_of(UNIT_RIGHT), np.array([[1.0, 1.0], [1.0, 1.0]]))
+    # a singular tensor has no inverse metric; it is refused when read
+    with pytest.raises(FieldValidityError, match="positive definite"):
+        metric_angles(UNIT_RIGHT, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +80,13 @@ def test_theorem_constant_tensor_by_mesh_kind():
     field, _, _ = example_fields("example51")
     for kind, n in (("mesh45", 4), ("mesh45", 8), ("mesh90", 4)):
         mesh = generate_structured(kind, n, n, (0, 0, 16, 16))
-        rep = check_theorem_dmp(mesh, field)
+        rep = check_theorem_dmp(ElementData(mesh, field))
         assert rep.passed
         assert rep.failing_elements.size == 0
         assert np.all(rep.corr_lhs == 0.0)   # constant per element
 
     mesh = generate_structured("mesh135", 4, 4, (0, 0, 16, 16))
-    rep = check_theorem_dmp(mesh, field)
+    rep = check_theorem_dmp(ElementData(mesh, field))
     assert not rep.passed
     # every element fails on exactly one pair, with a positive pairing
     # and a negative metric cosine at that pair
@@ -99,14 +101,15 @@ def test_theorem_constant_tensor_by_mesh_kind():
 def test_theorem_identity_all_kinds_pass():
     field = ConstantField(np.eye(2))
     for kind in ("mesh45", "mesh90", "mesh135"):
-        rep = check_theorem_dmp(generate_structured(kind, 4, 4), field)
+        rep = check_theorem_dmp(
+            ElementData(generate_structured(kind, 4, 4), field))
         assert rep.passed
 
 
 def test_theorem_general_constant_field():
     field, _, _ = example_fields("example51")
     mesh = generate_structured("mesh45", 4, 4, (0, 0, 16, 16))
-    rep = check_theorem_general(mesh, field)
+    rep = check_theorem_general(ElementData(mesh, field))
     assert rep.passed
     assert np.all(rep.cond1_lhs == 0.0)
     assert np.all(np.isinf(rep.cond2_rhs))
@@ -115,7 +118,7 @@ def test_theorem_general_constant_field():
     # the obtuse metric angles of mesh135 fail condition 1 even with a
     # constant field (zero variation does not rescue a negative cosine)
     mesh = generate_structured("mesh135", 4, 4, (0, 0, 16, 16))
-    rep = check_theorem_general(mesh, field)
+    rep = check_theorem_general(ElementData(mesh, field))
     assert not rep.passed
     assert rep.flagged_elements.size == mesh.n_elements
 
@@ -124,7 +127,7 @@ def test_theorem_general_constant_field():
 def test_theorem_general_flags_ring_elements(gamma):
     field, _, _ = example_fields("example52", gamma=gamma)
     mesh = generate_structured("mesh45", 8, 8)
-    rep = check_theorem_general(mesh, field)
+    rep = check_theorem_general(ElementData(mesh, field))
     assert not rep.passed
 
     flagged = np.zeros(mesh.n_elements, dtype=bool)
@@ -142,24 +145,25 @@ def test_theorem_general_flags_ring_elements(gamma):
 
 
 def test_theorem_general_matches_scalar_angles():
-    # vectorized cosines agree with the per-element scalar path
+    # the vectorized cosines agree with a per-element reference that
+    # inverts each averaged tensor with numpy and works from raw vertices
     field, _, _ = example_fields("example52", gamma=99.0)
     mesh = generate_structured("mesh45", 4, 4)
-    rep = check_theorem_general(mesh, field)
-    from wgdmp.tensor import element_moments, quadrature
-    rule = quadrature(4)
+    data = ElementData(mesh, field)
+    rep = check_theorem_general(data)
     for t in range(mesh.n_elements):
-        geom = element_geometry(mesh, t)
-        mom = element_moments(geom, field, rule=rule)
-        sc = metric_angles(geom, mom.a_avg)
-        assert rep.cos_alpha[t] == pytest.approx(sc.cos_alpha, rel=1e-12,
-                                                 abs=1e-30)
+        p = mesh.vertices[mesh.triangles[t]]
+        dirs = np.roll(p, -1, axis=0) - p
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        q = dirs @ np.linalg.inv(data.a_avg[t]) @ dirs.T
+        want = [-q[i, j] / np.sqrt(q[i, i] * q[j, j]) for i, j in PAIRS]
+        assert rep.cos_alpha[t] == pytest.approx(want, rel=1e-12, abs=1e-30)
 
 
 def test_theorem_general_gamma_zero_passes():
     field, _, _ = example_fields("example52", gamma=0.0)
     mesh = generate_structured("mesh45", 4, 4)
-    rep = check_theorem_general(mesh, field)
+    rep = check_theorem_general(ElementData(mesh, field))
     assert rep.passed
 
 
@@ -167,8 +171,7 @@ def test_theorem_general_gamma_zero_passes():
 # full-system sign condition
 
 def test_full_system_unit_right():
-    mesh = trimesh_from_arrays(UNIT_RIGHT, [[0, 1, 2]])
-    rep = check_full_system_condition(mesh, ConstantField(np.eye(2)))
+    rep = check_full_system_condition(single_element(UNIT_RIGHT))
     # pair order (0,1), (0,2), (1,2): the legs pair is (0,2)
     assert rep.mbb_offdiag[0] == pytest.approx([0.0, 2.0, 0.0], abs=1e-13)
     assert rep.mbb_pass[0].tolist() == [True, False, True]
@@ -185,7 +188,7 @@ def test_full_system_sign_matches_geometric_restatement():
     field = ConstantField(np.eye(2))
     for kind in ("mesh45", "mesh90", "mesh135"):
         mesh = generate_structured(kind, 3, 3)
-        rep = check_full_system_condition(mesh, field)
+        rep = check_full_system_condition(ElementData(mesh, field))
         assert np.array_equal(rep.mbb_pass, rep.remark_pass)
 
 
@@ -196,16 +199,14 @@ def test_full_system_fails_at_largest_angle_always():
     rng = np.random.default_rng(13)
     field = ConstantField(np.eye(2))
     for _ in range(25):
-        tri = random_triangle(rng)
-        mesh = trimesh_from_arrays(tri, [[0, 1, 2]])
-        rep = check_full_system_condition(mesh, field)
+        rep = check_full_system_condition(
+            single_element(random_triangle(rng), field))
         assert not rep.passed
     # thin and strictly acute is not an escape: the per-element theorem
     # passes there while the full-system condition still fails
-    tri = np.array([[0.0, 0.0], [1e-3, 0.0], [5e-4, 1.0]])
-    mesh = trimesh_from_arrays(tri, [[0, 1, 2]])
-    assert check_theorem_dmp(mesh, field).passed
-    rep = check_full_system_condition(mesh, field)
+    data = single_element(np.array([[0.0, 0.0], [1e-3, 0.0], [5e-4, 1.0]]))
+    assert check_theorem_dmp(data).passed
+    rep = check_full_system_condition(data)
     assert not rep.passed
     assert rep.mbb_pass[0].tolist() == [False, False, True]
 
@@ -214,10 +215,10 @@ def test_reduced_vs_full_strictness():
     # the per-element reduced-system audit accepts mesh45 with the
     # identity tensor; the unreduced block audit rejects it on every
     # right-angle pair
-    field = ConstantField(np.eye(2))
-    mesh = generate_structured("mesh45", 4, 4)
-    assert check_theorem_dmp(mesh, field).passed
-    rep = check_full_system_condition(mesh, field)
+    data = ElementData(generate_structured("mesh45", 4, 4),
+                       ConstantField(np.eye(2)))
+    assert check_theorem_dmp(data).passed
+    rep = check_full_system_condition(data)
     assert not rep.passed
     bad = ~rep.mbb_pass
     assert np.all(bad.sum(axis=1) == 1)
@@ -305,9 +306,10 @@ def test_mmatrix_dense_cap():
 def test_verdict_respects_bounds_on_good_meshes():
     field, _, g = example_fields("example51")
     for kind in ("mesh45", "mesh90"):
-        mesh = generate_structured(kind, 8, 8, (0, 0, 16, 16))
-        assert check_theorem_dmp(mesh, field).passed
-        sol = solve_problem(mesh, field, g=g)
+        data = ElementData(generate_structured(kind, 8, 8, (0, 0, 16, 16)),
+                           field)
+        assert check_theorem_dmp(data).passed
+        sol = solve_problem(data, g=g)
         v = solution_verdict(sol)
         assert v.passed
         assert v.upper_bound == pytest.approx(1.0)
@@ -319,7 +321,7 @@ def test_verdict_respects_bounds_on_good_meshes():
 def test_verdict_reports_mesh135_overshoot():
     field, _, g = example_fields("example51")
     mesh = generate_structured("mesh135", 8, 8, (0, 0, 16, 16))
-    sol = solve_problem(mesh, field, g=g)
+    sol = solve_problem(ElementData(mesh, field), g=g)
     v = solution_verdict(sol)
     assert not v.passed
     assert not v.pass_upper
@@ -341,7 +343,7 @@ def test_verdict_reports_mesh135_overshoot():
 
 def test_verdict_zero_data():
     mesh = generate_structured("mesh45", 2, 2)
-    sol = solve_problem(mesh, ConstantField(np.eye(2)))
+    sol = solve_problem(ElementData(mesh, ConstantField(np.eye(2))))
     v = solution_verdict(sol)
     assert v.passed
     assert v.upper_bound == 0.0 and v.lower_bound == 0.0
@@ -349,7 +351,8 @@ def test_verdict_zero_data():
 
 def test_verdict_source_flag():
     mesh = generate_structured("mesh45", 2, 2)
-    sol = solve_problem(mesh, ConstantField(np.eye(2)), g=lambda x, y: 1.0)
+    sol = solve_problem(ElementData(mesh, ConstantField(np.eye(2))),
+                        g=lambda x, y: 1.0)
     v = solution_verdict(sol, f_sign_nonpositive=False)
     assert v.passed is None
     assert v.pass_upper and v.pass_lower
@@ -368,7 +371,7 @@ def test_verdict_tolerance():
 def test_write_angle_report_theorem(tmp_path):
     field, _, _ = example_fields("example51")
     mesh = generate_structured("mesh135", 2, 2, (0, 0, 16, 16))
-    rep = check_theorem_dmp(mesh, field)
+    rep = check_theorem_dmp(ElementData(mesh, field))
     path = tmp_path / "angles.csv"
     write_angle_report(rep, path)
     lines = path.read_text().strip().splitlines()
@@ -383,7 +386,8 @@ def test_write_angle_report_theorem(tmp_path):
 
 def test_write_angle_report_full_system(tmp_path):
     mesh = generate_structured("mesh45", 2, 2)
-    rep = check_full_system_condition(mesh, ConstantField(np.eye(2)))
+    rep = check_full_system_condition(
+        ElementData(mesh, ConstantField(np.eye(2))))
     path = tmp_path / "full.csv"
     write_angle_report(rep, path)
     lines = path.read_text().strip().splitlines()
@@ -393,7 +397,7 @@ def test_write_angle_report_full_system(tmp_path):
 def test_write_angle_report_rejects_other_types(tmp_path):
     field, _, _ = example_fields("example52", gamma=1.0)
     mesh = generate_structured("mesh45", 2, 2)
-    rep = check_theorem_general(mesh, field)
+    rep = check_theorem_general(ElementData(mesh, field))
     with pytest.raises(TypeError):
         write_angle_report(rep, tmp_path / "x.csv")
 
@@ -401,7 +405,7 @@ def test_write_angle_report_rejects_other_types(tmp_path):
 def test_write_violations(tmp_path):
     field, _, g = example_fields("example51")
     mesh = generate_structured("mesh135", 4, 4, (0, 0, 16, 16))
-    sol = solve_problem(mesh, field, g=g)
+    sol = solve_problem(ElementData(mesh, field), g=g)
     v = solution_verdict(sol)
     path = tmp_path / "violations.csv"
     write_violations(v, sol, path)

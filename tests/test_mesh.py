@@ -3,9 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_triangle, single_element
+
+from wgdmp.assembly import ElementData
 from wgdmp.mesh import (DegenerateElementError, MeshError, MeshFormatError,
-                        element_geometry, export_mesh, generate_structured,
-                        import_mesh, trimesh_from_arrays)
+                        export_mesh, generate_structured, import_mesh,
+                        trimesh_from_arrays)
+from wgdmp.tensor import ConstantField
 
 
 def test_mesh45_counts_2x2():
@@ -87,55 +91,49 @@ def test_interior_edges_have_two_elements():
 
 
 def test_element_geometry_unit_right():
-    mesh = trimesh_from_arrays([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    g = element_geometry(mesh, 0)
-    assert g.area == pytest.approx(0.5, abs=1e-15)
-    assert g.centroid == pytest.approx([1 / 3, 1 / 3], abs=1e-15)
-    assert g.s_iso == pytest.approx(1 / 18, rel=1e-14)
-    assert g.c_k == pytest.approx(18.0, rel=1e-14)
-    assert g.diameter == pytest.approx(np.sqrt(2.0), rel=1e-15)
-    assert g.edge_lengths == pytest.approx([1.0, np.sqrt(2.0), 1.0])
+    g = single_element(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert g.area[0] == pytest.approx(0.5, abs=1e-15)
+    assert g.cen[0] == pytest.approx([1 / 3, 1 / 3], abs=1e-15)
+    assert g.s_iso[0] == pytest.approx(1 / 18, rel=1e-14)
+    assert g.c_k[0] == pytest.approx(18.0, rel=1e-14)
+    assert g.diam[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert g.lens[0] == pytest.approx([1.0, np.sqrt(2.0), 1.0])
     # local edge l runs from vertex l to l+1
-    assert g.outward_normals[0] == pytest.approx([0.0, -1.0])
-    assert g.outward_normals[1] == pytest.approx(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert g.outward_normals[2] == pytest.approx([-1.0, 0.0])
+    assert g.nrm[0, 0] == pytest.approx([0.0, -1.0])
+    assert g.nrm[0, 1] == pytest.approx(np.array([1.0, 1.0]) / np.sqrt(2))
+    assert g.nrm[0, 2] == pytest.approx([-1.0, 0.0])
 
 
 def test_normals_are_outward_unit():
-    from conftest import random_triangle
     rng = np.random.default_rng(7)
     for _ in range(50):
         tri = random_triangle(rng)
-        mesh = trimesh_from_arrays(tri, [[0, 1, 2]])
-        g = element_geometry(mesh, 0)
-        assert np.allclose((g.outward_normals ** 2).sum(axis=1), 1.0, atol=1e-14)
+        g = single_element(tri)
+        nrm = g.nrm[0]
+        mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
+        assert np.allclose((nrm ** 2).sum(axis=1), 1.0, atol=1e-14)
         for l in range(3):
-            assert (g.midpoints[l] - g.centroid) @ g.outward_normals[l] > 0
+            assert (mids[l] - g.cen[0]) @ nrm[l] > 0
 
 
 def test_normal_length_sum_identity():
     # sum of length-weighted outward normals vanishes on every triangle
-    from conftest import random_triangle
     rng = np.random.default_rng(11)
     for _ in range(100):
-        tri = random_triangle(rng)
-        mesh = trimesh_from_arrays(tri, [[0, 1, 2]])
-        g = element_geometry(mesh, 0)
-        total = (g.edge_lengths[:, None] * g.outward_normals).sum(axis=0)
-        assert np.abs(total).max() <= 1e-13 * g.edge_lengths.max()
+        g = single_element(random_triangle(rng))
+        total = (g.lens[0, :, None] * g.nrm[0]).sum(axis=0)
+        assert np.abs(total).max() <= 1e-13 * g.lens[0].max()
 
 
 def test_geometry_translation_invariance():
     base = np.array([[0.2, 0.1], [1.1, 0.4], [0.5, 1.3]])
-    m1 = trimesh_from_arrays(base, [[0, 1, 2]])
-    m2 = trimesh_from_arrays(base + np.array([7.0, -3.0]), [[0, 1, 2]])
-    g1 = element_geometry(m1, 0)
-    g2 = element_geometry(m2, 0)
+    g1 = single_element(base)
+    g2 = single_element(base + np.array([7.0, -3.0]))
     assert g1.area == pytest.approx(g2.area, rel=1e-14)
     assert g1.s_iso == pytest.approx(g2.s_iso, rel=1e-12)
     assert g1.c_k == pytest.approx(g2.c_k, rel=1e-12)
-    assert g1.edge_lengths == pytest.approx(g2.edge_lengths, rel=1e-14)
-    assert g1.outward_normals == pytest.approx(g2.outward_normals, abs=1e-14)
+    assert g1.lens[0] == pytest.approx(g2.lens[0], rel=1e-14)
+    assert g1.nrm[0] == pytest.approx(g2.nrm[0], abs=1e-14)
 
 
 def test_mesh45_mesh135_reflection():
@@ -226,8 +224,7 @@ def test_import_reorients_clockwise(tmp_path):
         mesh = import_mesh(path)
     assert mesh.reoriented == 1
     assert any("reoriented" in str(w.message) for w in captured)
-    g = element_geometry(mesh, 0)
-    assert g.area > 0
+    assert ElementData(mesh, ConstantField(np.eye(2))).area[0] > 0
 
 
 @pytest.mark.parametrize("content,fragment", [

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wgdmp.assembly import ReducedSystem, assemble, schur_algebraic
+from wgdmp.assembly import (ElementData, ReducedSystem, assemble,
+                            schur_algebraic)
 from wgdmp.mesh import generate_structured, trimesh_from_arrays
 from wgdmp.solve import (NonConvergenceError, SolverConfig, SolverError,
                          WgSolution, export_solution_csv, export_vertex_csv,
@@ -15,7 +16,7 @@ def test_constant_boundary_data_reproduced_exactly():
     # g = 3 solves the homogeneous problem exactly: every element and edge
     # value must come out 3
     mesh = generate_structured("mesh45", 2, 2)
-    sol = solve_problem(mesh, ConstantField(np.eye(2)),
+    sol = solve_problem(ElementData(mesh, ConstantField(np.eye(2))),
                         g=lambda x, y: 3.0)
     assert np.abs(sol.u0 - 3.0).max() <= 1e-10
     assert np.abs(sol.ub - 3.0).max() <= 1e-10
@@ -25,14 +26,14 @@ def test_constant_boundary_data_reproduced_exactly():
 def test_constant_data_anisotropic_field():
     field, _, _ = example_fields("example51")
     mesh = generate_structured("mesh135", 2, 2, (0, 0, 16, 16))
-    sol = solve_problem(mesh, field, g=lambda x, y: -0.5)
+    sol = solve_problem(ElementData(mesh, field), g=lambda x, y: -0.5)
     assert np.abs(sol.u0 + 0.5).max() <= 1e-10
     assert np.abs(sol.ub + 0.5).max() <= 1e-10
 
 
 def test_zero_data_short_circuit():
     mesh = generate_structured("mesh90", 2, 2)
-    sol = solve_problem(mesh, ConstantField(np.eye(2)))
+    sol = solve_problem(ElementData(mesh, ConstantField(np.eye(2))))
     assert np.all(sol.u0 == 0.0)
     assert np.all(sol.ub == 0.0)
     assert sol.residual_norm == 0.0
@@ -41,9 +42,10 @@ def test_zero_data_short_circuit():
 def test_methods_agree():
     field, _, g = example_fields("example51")
     mesh = generate_structured("mesh90", 4, 4, (0, 0, 16, 16))
-    cg = solve_problem(mesh, field, g=g,
+    data = ElementData(mesh, field)
+    cg = solve_problem(data, g=g,
                        config=SolverConfig(method="conjugate-gradient-jacobi"))
-    ch = solve_problem(mesh, field, g=g,
+    ch = solve_problem(data, g=g,
                        config=SolverConfig(method="sparse-direct"))
     scale = np.abs(ch.ub).max()
     assert np.abs(cg.ub - ch.ub).max() <= 1e-9 * scale
@@ -53,7 +55,7 @@ def test_methods_agree():
 def test_residual_meets_tolerance():
     field, _, g = example_fields("example51")
     mesh = generate_structured("mesh45", 8, 8, (0, 0, 16, 16))
-    system = assemble(mesh, field, g=g)
+    system = assemble(ElementData(mesh, field), g=g)
     reduced = schur_algebraic(system)
     tol = 1e-12
     ub, resid = solve_reduced(reduced, system.g_h,
@@ -69,7 +71,8 @@ def test_first_block_row_satisfied():
     # system: M00 u0 + M0b ub + M0b_bdry g_h = F0
     field, _, g = example_fields("example51")
     mesh = generate_structured("mesh135", 4, 4, (0, 0, 16, 16))
-    system = assemble(mesh, field, f=lambda x, y: -1.0, g=g)
+    system = assemble(ElementData(mesh, field), f=lambda x, y: -1.0,
+                      g=g)
     reduced = schur_algebraic(system)
     ub, _ = solve_reduced(reduced, system.g_h)
     u0 = recover_interior(system, ub, system.g_h)
@@ -84,7 +87,7 @@ def test_element_value_is_edge_mean_for_constant_field():
     # reduces to the mean of the three edge values
     field, _, g = example_fields("example51")
     mesh = generate_structured("mesh135", 2, 2, (0, 0, 16, 16))
-    sol = solve_problem(mesh, field, g=g)
+    sol = solve_problem(ElementData(mesh, field), g=g)
     all_edges = np.concatenate([sol.ub, sol.ub_bdry])
     means = all_edges[mesh.element_to_edges].mean(axis=1)
     assert np.abs(sol.u0 - means).max() <= 1e-11 * np.abs(means).max()
@@ -117,8 +120,8 @@ def test_solution_invariant_under_vertex_relabeling():
     shuffled = trimesh_from_arrays(base.vertices[perm],
                                    inv[base.triangles])
 
-    sol_a = solve_problem(base, field, g=g)
-    sol_b = solve_problem(shuffled, field, g=g)
+    sol_a = solve_problem(ElementData(base, field), g=g)
+    sol_b = solve_problem(ElementData(shuffled, field), g=g)
 
     def edge_value_map(mesh, sol):
         out = {}
@@ -140,7 +143,7 @@ def test_solution_invariant_under_vertex_relabeling():
 def _ring_system(size):
     field, f, g = example_fields("example52", gamma=99.0)
     mesh = generate_structured("mesh45", size, size)
-    system = assemble(mesh, field, f=f, g=g)
+    system = assemble(ElementData(mesh, field), f=f, g=g)
     return system, schur_algebraic(system)
 
 
@@ -186,7 +189,7 @@ def test_unreachable_tolerance_rejected(method):
     # tolerance, here one far below double precision
     field, _, g = example_fields("example51")
     mesh = generate_structured("mesh45", 4, 4, (0, 0, 16, 16))
-    system = assemble(mesh, field, g=g)
+    system = assemble(ElementData(mesh, field), g=g)
     reduced = schur_algebraic(system)
     with pytest.raises(SolverError, match="relative residual"):
         solve_reduced(reduced, system.g_h,
@@ -196,7 +199,7 @@ def test_unreachable_tolerance_rejected(method):
 def test_nonfinite_input_rejected():
     field, _, g = example_fields("example51")
     mesh = generate_structured("mesh45", 4, 4, (0, 0, 16, 16))
-    system = assemble(mesh, field, g=g)
+    system = assemble(ElementData(mesh, field), g=g)
     reduced = schur_algebraic(system)
     g_bad = system.g_h.copy()
     g_bad[0] = np.nan
@@ -212,7 +215,7 @@ def test_nonfinite_input_rejected():
 def test_nonconvergence_reports_history():
     field, _, g = example_fields("example51")
     mesh = generate_structured("mesh45", 8, 8, (0, 0, 16, 16))
-    system = assemble(mesh, field, g=g)
+    system = assemble(ElementData(mesh, field), g=g)
     reduced = schur_algebraic(system)
     with pytest.raises(NonConvergenceError) as info:
         solve_reduced(reduced, system.g_h,
@@ -235,7 +238,7 @@ def test_invalid_configs_rejected():
 
 def test_export_solution_csv(tmp_path):
     mesh = generate_structured("mesh45", 2, 2)
-    sol = solve_problem(mesh, ConstantField(np.eye(2)),
+    sol = solve_problem(ElementData(mesh, ConstantField(np.eye(2))),
                         g=lambda x, y: x)
     path = tmp_path / "solution.csv"
     export_solution_csv(sol, path)

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 from conftest import (exact_monomial, poly_integrate, poly_mul,
-                      random_triangle, random_spd)
+                      quad_integrate, random_triangle, random_spd,
+                      single_element)
 
-from wgdmp.mesh import element_geometry, trimesh_from_arrays
+from wgdmp.assembly import ElementData
+from wgdmp.dmp import check_theorem_general
+from wgdmp.mesh import trimesh_from_arrays
 from wgdmp.tensor import (ConstantField, FieldValidityError, FunctionalField,
-                          PiecewiseConstantField, element_moments,
-                          example_fields, load_piecewise_field, quadrature)
+                          PiecewiseConstantField, example_fields,
+                          load_piecewise_field, quadrature)
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def unit_right_geom():
-    return element_geometry(trimesh_from_arrays(UNIT_RIGHT, [[0, 1, 2]]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -39,14 +38,14 @@ def test_quadrature_reference_values():
     # int x^2 over the unit right triangle is 1/12; the midpoint rule
     # (degree 2) must hit it exactly
     rule = quadrature(2)
-    pts = rule.physical_points(UNIT_RIGHT)
-    val = rule.integrate(UNIT_RIGHT, pts[:, 0] ** 2)
+    pts = rule.points @ UNIT_RIGHT
+    val = quad_integrate(rule, UNIT_RIGHT, pts[:, 0] ** 2)
     assert abs(val - 1.0 / 12.0) <= 1e-15
 
     # int x^2 y^2 = 1/180 needs the degree-4 rule
     rule = quadrature(4)
-    pts = rule.physical_points(UNIT_RIGHT)
-    val = rule.integrate(UNIT_RIGHT, pts[:, 0] ** 2 * pts[:, 1] ** 2)
+    pts = rule.points @ UNIT_RIGHT
+    val = quad_integrate(rule, UNIT_RIGHT, pts[:, 0] ** 2 * pts[:, 1] ** 2)
     assert abs(val - 1.0 / 180.0) <= 1e-15
 
 
@@ -56,10 +55,10 @@ def test_quadrature_exact_for_monomials(degree):
     rule = quadrature(degree)
     for _ in range(100):
         tri = random_triangle(rng)
-        pts = rule.physical_points(tri)
+        pts = rule.points @ tri
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
-                got = rule.integrate(tri, pts[:, 0] ** a * pts[:, 1] ** b)
+                got = quad_integrate(rule, tri, pts[:, 0] ** a * pts[:, 1] ** b)
                 want = exact_monomial(tri, a, b)
                 assert abs(got - want) <= 1e-14 * abs(want)
 
@@ -68,8 +67,8 @@ def test_quadrature_not_exact_beyond_degree():
     # sanity: the degree-2 rule misses a quartic, so the exactness tests
     # above cannot be passing vacuously
     rule = quadrature(2)
-    pts = rule.physical_points(UNIT_RIGHT)
-    got = rule.integrate(UNIT_RIGHT, pts[:, 0] ** 2 * pts[:, 1] ** 2)
+    pts = rule.points @ UNIT_RIGHT
+    got = quad_integrate(rule, UNIT_RIGHT, pts[:, 0] ** 2 * pts[:, 1] ** 2)
     assert abs(got - 1.0 / 180.0) > 1e-4
 
 
@@ -104,6 +103,19 @@ def test_piecewise_field_basics():
 def test_constant_field_rejects_non_spd(bad):
     with pytest.raises(FieldValidityError):
         ConstantField(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_tensors_rejected(value):
+    # NaN fails every comparison, so it must be refused before them
+    with pytest.raises(FieldValidityError, match="non-finite"):
+        ConstantField([[value, 0.0], [0.0, 1.0]])
+    with pytest.raises(FieldValidityError, match="non-finite"):
+        PiecewiseConstantField([np.eye(2), [[1.0, value], [value, 1.0]]])
+    field = FunctionalField(lambda x, y: np.array([[1.0, 0.0],
+                                                   [0.0, value]]))
+    with pytest.raises(FieldValidityError, match="non-finite"):
+        field.sample(np.array([[0.3, 0.3]]))
 
 
 def test_field_shape_errors():
@@ -142,25 +154,28 @@ def test_load_piecewise_errors(tmp_path):
     path.write_text("1 0 -1\n")
     with pytest.raises(FieldValidityError):
         load_piecewise_field(path)
+    path.write_text("1 0 1\n# comment\nnan 0 1\n")
+    with pytest.raises(FieldValidityError, match=f"{path}:3: non-finite"):
+        load_piecewise_field(path)
 
 
 # ---------------------------------------------------------------------------
 # element moments
 
 def test_constant_moments_unit_right():
-    geom = unit_right_geom()
-    mom = element_moments(geom, ConstantField(np.eye(2)))
-    assert mom.s_a == pytest.approx(1.0 / 18.0, rel=1e-14)
-    assert np.all(mom.m == 0.0)
-    assert mom.lam_min == pytest.approx(1.0)
-    assert mom.lip == 0.0
-    assert mom.a_avg == pytest.approx(np.eye(2))
+    data = single_element(UNIT_RIGHT)
+    assert data.s_a[0] == pytest.approx(1.0 / 18.0, rel=1e-14)
+    assert np.all(data.m[0] == 0.0)
+    assert data.a_avg[0] == pytest.approx(np.eye(2))
     # n_mat = |K| n_i . n_j with n = (0,-1), (1,1)/sqrt2, (-1,0)
     r = 1.0 / np.sqrt(2.0)
     want = 0.5 * np.array([[1.0, -r, 0.0],
                            [-r, 1.0, -r],
                            [0.0, -r, 1.0]])
-    assert mom.n_mat == pytest.approx(want, rel=1e-14)
+    assert data.n_mat[0] == pytest.approx(want, rel=1e-14)
+    rep = check_theorem_general(data)
+    assert rep.lam_min[0] == pytest.approx(1.0)
+    assert rep.lip[0] == 0.0
 
 
 def test_constant_moments_random_vs_polynomial_oracle():
@@ -168,10 +183,8 @@ def test_constant_moments_random_vs_polynomial_oracle():
     for _ in range(20):
         tri = random_triangle(rng)
         a = random_spd(rng)
-        mesh = trimesh_from_arrays(tri, [[0, 1, 2]])
-        geom = element_geometry(mesh, 0)
-        mom = element_moments(geom, ConstantField(a))
-        cx, cy = geom.centroid
+        data = single_element(tri, ConstantField(a))
+        cx, cy = tri.mean(axis=0)
         dx = {(1, 0): 1.0, (0, 0): -cx}
         dy = {(0, 1): 1.0, (0, 0): -cy}
         # (A d) . d expanded into monomials, integrated by the factorial
@@ -184,29 +197,27 @@ def test_constant_moments_random_vs_polynomial_oracle():
         for p, c in poly_mul(dy, dy).items():
             integrand[p] = integrand.get(p, 0.0) + a[1, 1] * c
         want = poly_integrate(integrand, tri)
-        assert mom.s_a == pytest.approx(want, rel=1e-12)
-        assert np.all(mom.m == 0.0)
+        assert data.s_a[0] == pytest.approx(want, rel=1e-12)
+        assert np.all(data.m[0] == 0.0)
 
 
 def test_piecewise_moments_use_element_index():
     verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
     mesh = trimesh_from_arrays(verts, [[0, 1, 2], [0, 2, 3]])
     mats = np.stack([np.diag([1.0, 1.0]), np.diag([9.0, 4.0])])
-    field = PiecewiseConstantField(mats)
-    mom1 = element_moments(element_geometry(mesh, 1), field)
-    assert np.array_equal(mom1.a_avg, mats[1])
-    assert mom1.lam_min == pytest.approx(4.0)
-    assert np.all(mom1.m == 0.0)
+    data = ElementData(mesh, PiecewiseConstantField(mats))
+    assert np.array_equal(data.a_avg[1], mats[1])
+    assert check_theorem_general(data).lam_min[1] == pytest.approx(4.0)
+    assert np.all(data.m[1] == 0.0)
 
 
 def test_functional_moments_need_degree_two():
     field = FunctionalField(lambda x, y: np.broadcast_to(
         np.eye(2), np.asarray(x).shape + (2, 2)))
-    geom = unit_right_geom()
+    # without a rule the degree-4 default applies
+    assert single_element(UNIT_RIGHT, field).rule.degree == 4
     with pytest.raises(ValueError, match="degree"):
-        element_moments(geom, field, rule=None)
-    with pytest.raises(ValueError, match="degree"):
-        element_moments(geom, field, rule=quadrature(1))
+        single_element(UNIT_RIGHT, field, quadrature(1))
 
 
 def _affine_entry_field():
@@ -231,17 +242,19 @@ def test_functional_moments_vs_polynomial_oracle():
     rng = np.random.default_rng(33)
     for _ in range(20):
         tri = random_triangle(rng)
-        mesh = trimesh_from_arrays(tri, [[0, 1, 2]])
-        geom = element_geometry(mesh, 0)
-        mom = element_moments(geom, field, rule=quadrature(4))
+        data = single_element(tri, field, quadrature(4))
+        # outward unit normals: edge vectors rotated by -90 degrees
+        ev = np.roll(tri, -1, axis=0) - tri
+        nrm = np.stack([ev[:, 1], -ev[:, 0]], axis=1)
+        nrm /= np.linalg.norm(nrm, axis=1)[:, None]
 
-        area = geom.area
+        area = 0.5 * (ev[0, 0] * ev[1, 1] - ev[0, 1] * ev[1, 0])
         avg_want = np.array(
             [[poly_integrate(a11, tri), poly_integrate(a12, tri)],
              [poly_integrate(a12, tri), poly_integrate(a22, tri)]]) / area
-        assert mom.a_avg == pytest.approx(avg_want, rel=1e-13)
+        assert data.a_avg[0] == pytest.approx(avg_want, rel=1e-13)
 
-        cx, cy = geom.centroid
+        cx, cy = tri.mean(axis=0)
         dx = {(1, 0): 1.0, (0, 0): -cx}
         dy = {(0, 1): 1.0, (0, 0): -cy}
         adx = {}  # (A d)_x = a11 dx + a12 dy
@@ -257,15 +270,14 @@ def test_functional_moments_vs_polynomial_oracle():
 
         s_want = (poly_integrate(poly_mul(adx, dx), tri)
                   + poly_integrate(poly_mul(ady, dy), tri))
-        assert mom.s_a == pytest.approx(s_want, rel=1e-12)
+        assert data.s_a[0] == pytest.approx(s_want, rel=1e-12)
 
         ix, iy = poly_integrate(adx, tri), poly_integrate(ady, tri)
-        m_want = geom.outward_normals @ np.array([ix, iy])
-        assert mom.m == pytest.approx(m_want, abs=1e-14 * abs(s_want))
+        m_want = nrm @ np.array([ix, iy])
+        assert data.m[0] == pytest.approx(m_want, abs=1e-14 * abs(s_want))
 
-        n_want = area * (geom.outward_normals @ avg_want
-                         @ geom.outward_normals.T)
-        assert mom.n_mat == pytest.approx(n_want, rel=1e-12)
+        n_want = area * (nrm @ avg_want @ nrm.T)
+        assert data.n_mat[0] == pytest.approx(n_want, rel=1e-12)
 
 
 def test_s_a_dominates_isotropic_moment():
@@ -274,33 +286,32 @@ def test_s_a_dominates_isotropic_moment():
     rule = quadrature(4)
     for _ in range(30):
         tri = random_triangle(rng)
-        mesh = trimesh_from_arrays(tri, [[0, 1, 2]])
-        geom = element_geometry(mesh, 0)
         for field in (ConstantField(random_spd(rng)), _affine_entry_field()):
-            mom = element_moments(geom, field, rule=rule)
-            assert mom.s_a >= mom.lam_min * geom.s_iso * (1.0 - 1e-12)
+            data = single_element(tri, field, rule)
+            lam_min = check_theorem_general(data).lam_min[0]
+            assert data.s_a[0] >= lam_min * data.s_iso[0] * (1.0 - 1e-12)
 
 
 def test_lam_min_of_constant_field():
     phi = 0.7
     rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     a = rot @ np.diag([0.5, 50.0]) @ rot.T
-    mom = element_moments(unit_right_geom(), ConstantField(a))
-    assert mom.lam_min == pytest.approx(0.5, rel=1e-12)
+    rep = check_theorem_general(single_element(UNIT_RIGHT, ConstantField(a)))
+    assert rep.lam_min[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_lipschitz_estimates():
-    geom = unit_right_geom()
     rule = quadrature(4)
     # analytic bound wins when supplied
     def ident(x, y):
         return np.broadcast_to(np.eye(2), np.asarray(x).shape + (2, 2))
-    mom = element_moments(geom, FunctionalField(ident, lip=5.0), rule=rule)
-    assert mom.lip == 5.0
+    data = single_element(UNIT_RIGHT, FunctionalField(ident, lip=5.0), rule)
+    assert check_theorem_general(data).lip[0] == 5.0
     # finite differences: [[2+x, .2y], [.2y, 3+y]] has slope at most
     # sqrt(1 + 2*0.04 + 1) pointwise, and the estimate must be positive
-    mom = element_moments(geom, _affine_entry_field(), rule=rule)
-    assert 0.0 < mom.lip <= np.sqrt(2.08) + 1e-12
+    data = single_element(UNIT_RIGHT, _affine_entry_field(), rule)
+    lip = check_theorem_general(data).lip[0]
+    assert 0.0 < lip <= np.sqrt(2.08) + 1e-12
 
 
 def test_nonpositive_moment_rejected():
@@ -314,7 +325,7 @@ def test_nonpositive_moment_rejected():
 
     field = Doctored(lambda x, y: None)
     with pytest.raises(FieldValidityError, match="s_a"):
-        element_moments(unit_right_geom(), field, rule=quadrature(2))
+        single_element(UNIT_RIGHT, field, quadrature(2))
 
 
 # ---------------------------------------------------------------------------
