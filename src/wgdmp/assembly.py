@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._csv import write_rows
 from .mesh import TriMesh, DegenerateElementError
 from .tensor import (TensorField, PiecewiseConstantField, QuadratureRule,
                      quadrature, FieldValidityError)
@@ -105,6 +106,8 @@ class ElementData:
     __slots__ = ("mesh", "field", "rule", "coords", "area", "lens", "nrm",
                  "cen", "diam", "s_iso", "c_k", "edge_dirs", "a_avg", "s_a",
                  "m", "n_mat")
+    #: Elements per block when a functional field is sampled.
+    SAMPLE_BLOCK = 8192
 
     def __init__(self, mesh: TriMesh, field: TensorField,
                  rule: QuadratureRule | None = None):
@@ -156,14 +159,19 @@ class ElementData:
             if self.rule.degree < 2:
                 raise ValueError("functional fields need a quadrature rule "
                                  "of degree >= 2")
-            w = self.rule.weights
-            qp = np.einsum("qb,tbd->tqd", self.rule.points, p)   # (T, n, 2)
-            aq = field.sample(qp)                                # (T, n, 2, 2)
-            self.a_avg = np.einsum("q,tqab->tab", w, aq)
-            d = qp - cen[:, None, :]
-            ad = np.einsum("tqab,tqb->tqa", aq, d)
-            self.s_a = area * np.einsum("q,tqa,tqa->t", w, ad, d)
-            self.m = area[:, None] * np.einsum("q,tqa,tla->tl", w, ad, nrm)
+            # in blocks, which bounds the memory of the samples at any size
+            w, nb, nt = self.rule.weights, self.SAMPLE_BLOCK, mesh.n_elements
+            self.a_avg, self.s_a = np.empty((nt, 2, 2)), np.empty(nt)
+            self.m = np.empty((nt, 3))
+            for b in (slice(k, k + nb) for k in range(0, nt, nb)):
+                qp = np.einsum("qb,tbd->tqd", self.rule.points, p[b])
+                aq = field.sample(qp)                        # (t, n, 2, 2)
+                self.a_avg[b] = np.einsum("q,tqab->tab", w, aq)
+                d = qp - cen[b, None, :]
+                ad = np.einsum("tqab,tqb->tqa", aq, d)
+                self.s_a[b] = area[b] * np.einsum("q,tqa,tqa->t", w, ad, d)
+                self.m[b] = area[b, None] * np.einsum("q,tqa,tla->tl",
+                                                      w, ad, nrm[b])
         if np.any(self.s_a <= 0):
             k = int(np.argmax(self.s_a <= 0))
             raise FieldValidityError(
@@ -197,19 +205,22 @@ def boundary_averages(mesh: TriMesh, g) -> np.ndarray:
                   np.broadcast_to(g2, (len(pts),)))
 
 
-def _entry_arrays(ed: ElementData):
-    """Per-element entry values for all blocks, shapes (T,), (T,3), (T,3,3)."""
+def _entry_arrays(ed: ElementData, reduced: bool = False):
+    """Per-element entries ``(m00, b0, pairs)`` of shapes (T,), (T, 3) and
+    (T, 3, 3): ``pairs`` is the edge-edge block ``M_bb``, or with
+    ``reduced`` its Schur complement ``M_bb - M_b0 M_00^-1 M_0b``."""
     m00 = ed.c_k ** 2 * ed.s_a
     b0 = (-(ed.c_k ** 2)[:, None] * ed.s_a[:, None] / 3.0
           - ed.c_k[:, None] * ed.lens * ed.m / ed.area[:, None])
     ll = ed.lens[:, :, None] * ed.lens[:, None, :]
+    if reduced:
+        mm = ed.m[:, :, None] * ed.m[:, None, :]
+        return m00, b0, ll / (ed.area ** 2)[:, None, None] * (
+            ed.n_mat - mm / ed.s_a[:, None, None])
     cross = (ed.lens * ed.m)[:, :, None] + (ed.lens * ed.m)[:, None, :]
-    bb = ((ed.c_k ** 2 * ed.s_a / 9.0)[:, None, None]
-          + (ed.c_k / (3.0 * ed.area))[:, None, None] * cross
-          + ll / (ed.area ** 2)[:, None, None] * ed.n_mat)
-    mm = ed.m[:, :, None] * ed.m[:, None, :]
-    schur = ll / (ed.area ** 2)[:, None, None] * (ed.n_mat - mm / ed.s_a[:, None, None])
-    return m00, b0, bb, schur
+    return m00, b0, ((ed.c_k ** 2 * ed.s_a / 9.0)[:, None, None]
+                     + (ed.c_k / (3.0 * ed.area))[:, None, None] * cross
+                     + ll / (ed.area ** 2)[:, None, None] * ed.n_mat)
 
 
 def _scatter_edge_pairs(mesh: TriMesh, vals):
@@ -218,18 +229,16 @@ def _scatter_edge_pairs(mesh: TriMesh, vals):
     ni = mesh.n_interior_edges
     nb = mesh.n_boundary_edges
     gids = mesh.element_to_edges                     # (T, 3)
-    gi = np.repeat(gids[:, :, None], 3, axis=2)      # row ids (T,3,3)
-    gj = np.repeat(gids[:, None, :], 3, axis=1)      # col ids (T,3,3)
+    shape = (gids.shape[0], 3, 3)
+    gi = np.broadcast_to(gids[:, :, None], shape)    # row ids, not copied
+    gj = np.broadcast_to(gids[:, None, :], shape)    # col ids
     row_int = (gi < ni)
     col_int = (gj < ni)
-    both = (row_int & col_int).ravel()
-    ib = (row_int & ~col_int).ravel()
-    vf = vals.reshape(-1)
-    gif = gi.ravel()
-    gjf = gj.ravel()
-    inner = sp.coo_matrix((vf[both], (gif[both], gjf[both])),
+    both = row_int & col_int
+    ib = row_int & ~col_int
+    inner = sp.coo_matrix((vals[both], (gi[both], gj[both])),
                           shape=(ni, ni)).tocsr()
-    bdry = sp.coo_matrix((vf[ib], (gif[ib], gjf[ib] - ni)),
+    bdry = sp.coo_matrix((vals[ib], (gi[ib], gj[ib] - ni)),
                          shape=(ni, nb)).tocsr()
     return inner, bdry
 
@@ -260,7 +269,7 @@ def assemble(data: ElementData, f=None, g=None) -> WgSystem:
     ``f`` and ``g`` are vectorized callables ``(x, y) -> value`` or
     ``None`` for zero; the source is integrated with ``data.rule``.
     """
-    m00, b0, bb, _ = _entry_arrays(data)
+    m00, b0, bb = _entry_arrays(data)
     m0b, m0b_b, mbb, mbb_b = _scatter_blocks(data.mesh, b0, bb)
     return WgSystem(
         m00_diag=m00,
@@ -285,7 +294,7 @@ def schur_closed_form(mesh: TriMesh, field: TensorField,
     ``-M_b0 M_00^{-1} F_0``; omit it for a zero source.
     """
     ed = ElementData(mesh, field, rule)
-    m00, b0, _, schur = _entry_arrays(ed)
+    m00, b0, schur = _entry_arrays(ed, reduced=True)
     a_mat, a_bdry = _scatter_edge_pairs(mesh, schur)
 
     ni = mesh.n_interior_edges
@@ -321,7 +330,6 @@ def export_matrix_triplets(mat, path) -> None:
     """Write a sparse matrix as sorted ``i j value`` triplets."""
     coo = sp.coo_matrix(mat)
     order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {format(v, '.17g')}\n")
+    write_rows(path, f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n",
+               ("%d %d %.17g\n",
+                (coo.row[order], coo.col[order], coo.data[order])))

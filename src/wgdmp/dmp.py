@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_rows
 from .assembly import ElementData, _entry_arrays, ReducedSystem
 from .solve import WgSolution
 
@@ -255,7 +256,7 @@ class FullSystemReport:
 
 
 def check_full_system_condition(ed: ElementData) -> FullSystemReport:
-    _, _, bb, _ = _entry_arrays(ed)
+    _, _, bb = _entry_arrays(ed)
     slack = 1e-12 * _slack_scale(ed)
 
     offdiag = np.stack([bb[:, i, j] for (i, j) in PAIRS], axis=1)
@@ -287,12 +288,14 @@ class MmatrixReport:
 
     Structural checks always run: off-diagonal nonpositivity of the
     interior matrix and nonnegativity of the row sums over ``[A | A_b]``.
+    ``offdiag_violations`` holds the ``(row, col)`` positions of the
+    positive off-diagonal entries of ``A`` as a ``(k, 2)`` int array.
     The dense checks (inverse nonnegativity and the boundary-coupling
     bound ``xi + A^{-1} A_b xi_b >= 0``) run only up to
     ``DENSE_AUDIT_LIMIT`` unknowns.
     """
 
-    offdiag_violations: list
+    offdiag_violations: np.ndarray
     rowsum_min: float
     rowsum_pass: bool
     dense_ran: bool
@@ -321,8 +324,7 @@ def mmatrix_audit(reduced: ReducedSystem, dense: bool | None = None) -> MmatrixR
     tol_off = 1e-12 * scale
     off = a.row != a.col
     bad = off & (a.data > tol_off)
-    violations = [(int(i), int(j), float(v))
-                  for i, j, v in zip(a.row[bad], a.col[bad], a.data[bad])]
+    violations = np.stack([a.row[bad], a.col[bad]], axis=1)
 
     ones_i = np.ones(n)
     ones_b = np.ones(reduced.a_bdry.shape[1])
@@ -345,7 +347,7 @@ def mmatrix_audit(reduced: ReducedSystem, dense: bool | None = None) -> MmatrixR
         bound_min = float(vec.min())
         bound_pass = bool(bound_min >= -1e-10)
 
-    passed = (not violations) and rowsum_pass
+    passed = not len(violations) and rowsum_pass
     if run_dense and n:
         passed = passed and inv_pass and bound_pass
     return MmatrixReport(
@@ -427,21 +429,18 @@ def write_angle_report(report, path) -> None:
         cos = report.cot_theta
     else:
         raise TypeError(f"no angle table for {type(report).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("element,pair,cos_alpha,n_inner,pass\n")
-        for t in range(values.shape[0]):
-            for p, (i, j) in enumerate(PAIRS):
-                fh.write(f"{t},{i}-{j},{format(cos[t, p], '.17g')},"
-                         f"{format(values[t, p], '.17g')},"
-                         f"{int(passes[t, p])}\n")
+    t = np.arange(values.shape[0])
+    write_rows(path, "element,pair,cos_alpha,n_inner,pass\n",
+               ("".join(f"%d,{i}-{j},%.17g,%.17g,%d\n" for i, j in PAIRS),
+                [col for p in range(len(PAIRS))
+                 for col in (t, cos[:, p], values[:, p], passes[:, p])]))
 
 
 def write_violations(verdict: SolutionVerdict, solution: WgSolution,
                      path) -> None:
     """Write ``kind,index,value`` rows for out-of-bounds unknowns."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kind,index,value\n")
-        for i in verdict.violating_elements:
-            fh.write(f"element,{i},{format(solution.u0[i], '.17g')}\n")
-        for i in verdict.violating_edges:
-            fh.write(f"interior_edge,{i},{format(solution.ub[i], '.17g')}\n")
+    elems = np.array(verdict.violating_elements, dtype=np.int64)
+    edges = np.array(verdict.violating_edges, dtype=np.int64)
+    write_rows(path, "kind,index,value\n",
+               ("element,%d,%.17g\n", (elems, solution.u0[elems])),
+               ("interior_edge,%d,%.17g\n", (edges, solution.ub[edges])))

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_rows
+
 __all__ = [
     "MeshError",
     "DegenerateElementError",
@@ -142,10 +144,10 @@ def _build_topology(vertices: np.ndarray, triangles: np.ndarray,
             or np.any(tris[:, 0] == tris[:, 2]):
         raise MeshError("triangle with repeated vertex")
 
-    # duplicate triangles (same vertex set, any order)
-    key = np.sort(tris, axis=1)
-    _, counts = np.unique(key, axis=0, return_counts=True)
-    if np.any(counts > 1):
+    # triangles on the same vertex set (any order) sort next to each other
+    vset = np.sort(tris, axis=1)
+    vset = vset[np.lexsort(vset.T[::-1])]
+    if np.any((vset[1:] == vset[:-1]).all(axis=1)):
         raise MeshError("duplicate triangle (same vertex set listed twice)")
 
     p = verts[tris]  # (T, 3, 2)
@@ -163,55 +165,48 @@ def _build_topology(vertices: np.ndarray, triangles: np.ndarray,
             f"triangle {bad} is degenerate: area {areas[bad]:.3e} "
             f"below 1e-14 * h^2 = {1e-14 * h[bad]**2:.3e}")
 
-    # canonical (min, max) pairs of all 3T local edges
+    # sort the 3T local edges (slot 3t + l) by lo * V + hi, i.e. by their
+    # (min, max) vertex pairs; the stable sort keeps triangle order in ties
     a = tris
     b = np.roll(tris, -1, axis=1)
     lo = np.minimum(a, b).ravel()
     hi = np.maximum(a, b).ravel()
-    pairs = np.stack([lo, hi], axis=1)              # (3T, 2)
-    uniq, inverse, counts = np.unique(pairs, axis=0,
-                                      return_inverse=True, return_counts=True)
+    key = lo * verts.shape[0] + hi
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    new_edge = np.concatenate(([True], skey[1:] != skey[:-1]))
+    starts = np.flatnonzero(new_edge)
+    counts = np.diff(np.append(starts, key.size))
     if np.any(counts > 2):
         raise MeshError("edge shared by more than two triangles")
 
-    n_edges = uniq.shape[0]
-    euler = verts.shape[0] - n_edges + tris.shape[0] + 1
+    euler = verts.shape[0] - starts.size + tris.shape[0] + 1
     if euler != 2:
         raise MeshError(
             f"mesh is not a connected triangulation of a simply connected "
             f"region: V - E + T + 1 = {euler}, expected 2")
 
-    interior_mask = counts == 2
-    # uniq is already lexicographically sorted by np.unique; number interior
-    # edges first, then boundary edges, each keeping that order
-    interior_ids = np.flatnonzero(interior_mask)
-    boundary_ids = np.flatnonzero(~interior_mask)
-    new_id = np.empty(n_edges, dtype=np.int64)
-    new_id[interior_ids] = np.arange(interior_ids.size)
-    new_id[boundary_ids] = interior_ids.size + np.arange(boundary_ids.size)
-
-    element_to_edges = new_id[inverse].reshape(tris.shape[0], 3)
-    orient = np.where(a < b, 1, -1).astype(np.int8)
-
-    # incident elements per edge
-    tri_of_slot = np.repeat(np.arange(tris.shape[0]), 3)
-    order = np.argsort(inverse, kind="stable")
-    sorted_tris = tri_of_slot[order]
-    starts = np.searchsorted(inverse[order], np.arange(n_edges))
-    interior_elems = np.stack(
-        [sorted_tris[starts[interior_ids]], sorted_tris[starts[interior_ids] + 1]],
-        axis=1)
-    boundary_elems = sorted_tris[starts[boundary_ids]]
+    # number interior edges first, then boundary edges, each in key order
+    interior = counts == 2
+    new_id = np.where(interior, np.cumsum(interior),
+                      np.count_nonzero(interior) + np.cumsum(~interior)) - 1
+    element_to_edges = np.empty(key.size, dtype=np.int64)
+    element_to_edges[order] = new_id[np.cumsum(new_edge) - 1]
+    # slot 3t + l lies on triangle t; an edge's slots are adjacent in order
+    first_slot = order[starts]
+    edges = np.stack([lo[first_slot], hi[first_slot]], axis=1)
+    interior_elems = np.stack([first_slot[interior] // 3,
+                               order[starts[interior] + 1] // 3], axis=1)
 
     return TriMesh(
         vertices=verts,
         triangles=tris,
-        interior_edges=uniq[interior_ids],
-        boundary_edges=uniq[boundary_ids],
+        interior_edges=edges[interior],
+        boundary_edges=edges[~interior],
         interior_edge_elements=interior_elems,
-        boundary_edge_elements=boundary_elems,
-        element_to_edges=element_to_edges,
-        edge_orientations=orient,
+        boundary_edge_elements=first_slot[~interior] // 3,
+        element_to_edges=element_to_edges.reshape(-1, 3),
+        edge_orientations=np.where(a < b, 1, -1).astype(np.int8),
         reoriented=reoriented,
     )
 
@@ -267,40 +262,21 @@ def generate_structured(kind: str, nx: int, ny: int,
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     verts = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    def vid(i, j):
-        # column i (x direction), row j (y direction)
-        return j * (nx + 1) + i
-
-    tris = []
+    # corners a, b, c, d (counterclockwise from lower left) and the
+    # mesh90 center e of each cell, cells numbered row by row
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    b, d = a + 1, a + nx + 1
+    c = d + 1
+    e = verts.shape[0] + np.arange(nx * ny)
     if kind == "mesh90":
-        centers = []
-        base = verts.shape[0]
-        for j in range(ny):
-            for i in range(nx):
-                centers.append([0.5 * (xs[i] + xs[i + 1]),
-                                0.5 * (ys[j] + ys[j + 1])])
-        verts = np.vstack([verts, np.array(centers)])
-        for j in range(ny):
-            for i in range(nx):
-                a = vid(i, j)
-                b = vid(i + 1, j)
-                c = vid(i + 1, j + 1)
-                d = vid(i, j + 1)
-                e = base + j * nx + i
-                tris += [[a, b, e], [b, c, e], [c, d, e], [d, a, e]]
-    else:
-        for j in range(ny):
-            for i in range(nx):
-                a = vid(i, j)
-                b = vid(i + 1, j)
-                c = vid(i + 1, j + 1)
-                d = vid(i, j + 1)
-                if kind == "mesh45":
-                    tris += [[a, b, c], [a, c, d]]
-                else:  # mesh135
-                    tris += [[a, b, d], [b, c, d]]
-
-    return _build_topology(verts, np.array(tris, dtype=np.int64))
+        cx, cy = np.meshgrid(0.5 * (xs[:-1] + xs[1:]),
+                             0.5 * (ys[:-1] + ys[1:]))
+        verts = np.vstack([verts, np.stack([cx.ravel(), cy.ravel()], axis=1)])
+    cells = {"mesh45": ((a, b, c), (a, c, d)),
+             "mesh135": ((a, b, d), (b, c, d)),
+             "mesh90": ((a, b, e), (b, c, e), (c, d, e), (d, a, e))}[kind]
+    tris = np.array(cells, dtype=np.int64).transpose(2, 0, 1).reshape(-1, 3)
+    return _build_topology(verts, tris)
 
 
 def import_mesh(path) -> TriMesh:
@@ -380,9 +356,7 @@ def import_mesh(path) -> TriMesh:
 
 def export_mesh(mesh: TriMesh, path) -> None:
     """Write a mesh in the :func:`import_mesh` format (full precision)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_elements}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{int(i)} {int(j)} {int(k)}\n")
+    v, t = mesh.vertices, mesh.triangles
+    write_rows(path, f"{mesh.n_vertices} {mesh.n_elements}\n",
+               ("%r %r\n", (v[:, 0], v[:, 1])),
+               ("%d %d %d\n", (t[:, 0], t[:, 1], t[:, 2])))

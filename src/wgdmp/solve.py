@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from ._csv import write_rows
 from .assembly import (ElementData, WgSystem, ReducedSystem, assemble,
                        schur_algebraic)
 from .mesh import TriMesh
@@ -205,19 +206,15 @@ def solve_problem(data: ElementData, f=None, g=None,
 
 def export_solution_csv(solution: WgSolution, path) -> None:
     """Write ``kind,index,value`` rows for all unknown groups."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kind,index,value\n")
-        for kind, vec in (("element", solution.u0),
-                          ("interior_edge", solution.ub),
-                          ("boundary_edge", solution.ub_bdry)):
-            for i, v in enumerate(vec):
-                fh.write(f"{kind},{i},{format(v, '.17g')}\n")
+    write_rows(path, "kind,index,value\n",
+               *((f"{kind},%d,%.17g\n", (np.arange(vec.size), vec))
+                 for kind, vec in (("element", solution.u0),
+                                   ("interior_edge", solution.ub),
+                                   ("boundary_edge", solution.ub_bdry))))
 
 
 def export_vertex_csv(mesh: TriMesh, values: np.ndarray, path) -> None:
     """Write ``x,y,value`` rows of a per-vertex field."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,value\n")
-        for (x, y), v in zip(mesh.vertices, values):
-            fh.write(f"{format(x, '.17g')},{format(y, '.17g')},"
-                     f"{format(v, '.17g')}\n")
+    write_rows(path, "x,y,value\n",
+               ("%.17g,%.17g,%.17g\n",
+                (mesh.vertices[:, 0], mesh.vertices[:, 1], values)))

@@ -95,20 +95,23 @@ def quadrature(degree: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 # fields
 
-def _check_spd(mats: np.ndarray, where: str) -> None:
+def _check_spd(mats: np.ndarray, where: str, name=None) -> None:
     """Validate finiteness, symmetry and positive definiteness of
-    ``(..., 2, 2)`` matrices."""
+    ``(..., 2, 2)`` matrices.  For a ``(T, 2, 2)`` table, ``name(k)``
+    labels matrix ``k`` so that the error names the first bad one."""
     m = np.asarray(mats, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise FieldValidityError(f"tensor has non-finite entries {where}")
-    asym = np.abs(m[..., 0, 1] - m[..., 1, 0])
-    scale = np.abs(m).reshape(*m.shape[:-2], 4).max(axis=-1)
-    if np.any(asym > 1e-12 * np.maximum(scale, 1e-300)):
-        raise FieldValidityError(f"tensor not symmetric {where}")
-    tr = m[..., 0, 0] + m[..., 1, 1]
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    if np.any(tr <= 0) or np.any(det <= 0):
-        raise FieldValidityError(f"tensor not positive definite {where}")
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(m[..., 0, 1] - m[..., 1, 0])
+        scale = np.abs(m).max(axis=(-2, -1))
+        tr = m[..., 0, 0] + m[..., 1, 1]
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    for problem, bad in (
+            ("has non-finite entries", ~np.isfinite(m).all(axis=(-2, -1))),
+            ("not symmetric", asym > 1e-12 * np.maximum(scale, 1e-300)),
+            ("not positive definite", (tr <= 0) | (det <= 0))):
+        if np.any(bad):
+            at = "" if name is None else f" at {name(int(np.argmax(bad)))}"
+            raise FieldValidityError(f"tensor {problem} {where}{at}")
 
 
 class TensorField:
@@ -168,7 +171,8 @@ class PiecewiseConstantField(TensorField):
         if self.matrices.ndim != 3 or self.matrices.shape[1:] != (2, 2):
             raise FieldValidityError(f"expected (T, 2, 2) matrices, "
                                      f"got shape {self.matrices.shape}")
-        _check_spd(self.matrices, "in the per-element table")
+        _check_spd(self.matrices, "in the per-element table",
+                   lambda k: f"element {k}")
         self.matrices.setflags(write=False)
 
     @property
@@ -227,7 +231,7 @@ def load_piecewise_field(path, n_elements: int | None = None) -> PiecewiseConsta
     symmetric); ``#`` comments and blank lines are skipped.  When
     ``n_elements`` is given the line count must match it.
     """
-    rows = []
+    rows, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
@@ -245,6 +249,7 @@ def load_piecewise_field(path, n_elements: int | None = None) -> PiecewiseConsta
             if not np.all(np.isfinite(rows[-1])):
                 raise FieldValidityError(
                     f"{path}:{lineno}: non-finite number in {body!r}")
+            linenos.append(lineno)
     if n_elements is not None and len(rows) != n_elements:
         raise FieldValidityError(
             f"{path}: {len(rows)} field lines for {n_elements} elements")
@@ -253,6 +258,8 @@ def load_piecewise_field(path, n_elements: int | None = None) -> PiecewiseConsta
     mats[:, 0, 0] = vals[:, 0]
     mats[:, 0, 1] = mats[:, 1, 0] = vals[:, 1]
     mats[:, 1, 1] = vals[:, 2]
+    _check_spd(mats, "in the per-element table",
+               lambda k: f"{path}:{linenos[k]}")
     return PiecewiseConstantField(mats)
 
 

@@ -360,6 +360,30 @@ def test_source_integrals_via_assemble():
     assert system.f0 == pytest.approx(np.array(want), rel=1e-13)
 
 
+@pytest.mark.parametrize("kind,n", [("mesh45", 2), ("mesh90", 3),
+                                     ("mesh135", 5)])
+def test_blocked_sampling_matches_one_block(kind, n, monkeypatch):
+    # sampling a functional field in blocks of elements must give the same
+    # bits as one block over the whole mesh, including a last block of one
+    ring, _, _ = example_fields("example52", gamma=99.0)
+    rng = np.random.default_rng(n)
+    coef = rng.uniform(0.5, 1.5, size=3)
+    affine = FunctionalField(lambda x, y: np.stack(
+        [np.stack([2.0 + coef[0] * x, coef[1] * y], -1),
+         np.stack([coef[1] * y, 3.0 + coef[2] * x * y], -1)], -2))
+    mesh = generate_structured(kind, n, n)
+    names = ("a_avg", "s_a", "m", "n_mat")
+    for field in (ring, affine):
+        whole = ElementData(mesh, field)
+        for block in (1, 3, mesh.n_elements - 1):
+            monkeypatch.setattr(ElementData, "SAMPLE_BLOCK", block)
+            data = ElementData(mesh, field)
+            for name in names:
+                assert getattr(data, name).tobytes() == \
+                    getattr(whole, name).tobytes(), (block, name)
+        monkeypatch.undo()
+
+
 def test_piecewise_field_count_mismatch():
     mesh = generate_structured("mesh45", 2, 2)   # 8 elements
     field = PiecewiseConstantField(np.broadcast_to(np.eye(2), (7, 2, 2)))

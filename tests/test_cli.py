@@ -184,6 +184,16 @@ def test_audit_nonfinite_field_file_exits_2(tmp_path, capsys):
     assert f"{path}:4: non-finite" in capsys.readouterr().err
 
 
+def test_audit_non_spd_field_file_names_line(tmp_path, capsys):
+    path = tmp_path / "field.txt"
+    path.write_text("1 0 1\n1 0 -1\n")
+    rc = main(["audit", "--mesh", "mesh45", "--size", "1",
+               "--field", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "not positive definite" in err and f"{path}:2" in err
+
+
 def test_audit_malformed_mesh(tmp_path, capsys):
     bad = tmp_path / "bad.mesh"
     bad.write_text("3 1\n0 0\n1 0\n")          # missing vertex + triangle

@@ -12,6 +12,89 @@ from wgdmp.mesh import (DegenerateElementError, MeshError, MeshFormatError,
 from wgdmp.tensor import ConstantField
 
 
+def loop_structured(kind, nx, ny, domain=(0.0, 0.0, 1.0, 1.0)):
+    """Vertices and triangles of a structured mesh, built cell by cell.
+
+    The loop generator that :func:`generate_structured` replaced; kept as
+    the oracle for its index arithmetic.
+    """
+    x0, y0, x1, y1 = map(float, domain)
+    xs = np.linspace(x0, x1, nx + 1)
+    ys = np.linspace(y0, y1, ny + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    verts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    if kind == "mesh90":
+        centers = []
+        base = verts.shape[0]
+        for j in range(ny):
+            for i in range(nx):
+                centers.append([0.5 * (xs[i] + xs[i + 1]),
+                                0.5 * (ys[j] + ys[j + 1])])
+        verts = np.vstack([verts, np.array(centers)])
+        for j in range(ny):
+            for i in range(nx):
+                a, b = vid(i, j), vid(i + 1, j)
+                c, d = vid(i + 1, j + 1), vid(i, j + 1)
+                e = base + j * nx + i
+                tris += [[a, b, e], [b, c, e], [c, d, e], [d, a, e]]
+    else:
+        for j in range(ny):
+            for i in range(nx):
+                a, b = vid(i, j), vid(i + 1, j)
+                c, d = vid(i + 1, j + 1), vid(i, j + 1)
+                if kind == "mesh45":
+                    tris += [[a, b, c], [a, c, d]]
+                else:
+                    tris += [[a, b, d], [b, c, d]]
+    return verts, np.array(tris, dtype=np.int64)
+
+
+def unique_topology(verts, tris):
+    """Edge arrays of a triangulation from ``np.unique(..., axis=0)`` over
+    the (min, max) vertex pairs: the oracle for the 1-D edge keys."""
+    a, b = tris, np.roll(tris, -1, axis=1)
+    pairs = np.stack([np.minimum(a, b).ravel(), np.maximum(a, b).ravel()],
+                     axis=1)
+    uniq, inverse, counts = np.unique(pairs, axis=0, return_inverse=True,
+                                      return_counts=True)
+    interior = np.flatnonzero(counts == 2)
+    boundary = np.flatnonzero(counts == 1)
+    new_id = np.empty(uniq.shape[0], dtype=np.int64)
+    new_id[interior] = np.arange(interior.size)
+    new_id[boundary] = interior.size + np.arange(boundary.size)
+    order = np.argsort(inverse, kind="stable")
+    tri_of = np.repeat(np.arange(tris.shape[0]), 3)[order]
+    starts = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
+    return {
+        "interior_edges": uniq[interior],
+        "boundary_edges": uniq[boundary],
+        "interior_edge_elements": np.stack(
+            [tri_of[starts[interior]], tri_of[starts[interior] + 1]], axis=1),
+        "boundary_edge_elements": tri_of[starts[boundary]],
+        "element_to_edges": new_id[inverse.ravel()].reshape(-1, 3),
+        "edge_orientations": np.where(a < b, 1, -1).astype(np.int8),
+    }
+
+
+@pytest.mark.parametrize("kind", ["mesh45", "mesh90", "mesh135"])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 5), (7, 2)])
+def test_generator_matches_loop_oracle(kind, nx, ny):
+    domain = (-1.0, 0.5, 2.0, 3.25)
+    mesh = generate_structured(kind, nx, ny, domain)
+    verts, tris = loop_structured(kind, nx, ny, domain)
+    want = {"vertices": verts, "triangles": tris,
+            **unique_topology(verts, tris)}
+    for name, expected in want.items():
+        got = getattr(mesh, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+
+
 def test_mesh45_counts_2x2():
     mesh = generate_structured("mesh45", 2, 2, (0, 0, 16, 16))
     assert mesh.n_vertices == 9
@@ -192,6 +275,27 @@ def test_disconnected_mesh_rejected():
     verts = [[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]]
     with pytest.raises(MeshError, match="connected"):
         trimesh_from_arrays(verts, [[0, 1, 2], [3, 4, 5]])
+
+
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+# a square ring: outer corners 0-3, inner corners 4-7, one hole
+_RING = [[0, 0], [3, 0], [3, 3], [0, 3], [1, 1], [2, 1], [2, 2], [1, 2]]
+
+
+@pytest.mark.parametrize("verts,tris,message", [
+    (_SQUARE, [[0, 1, 2], [1, 2, 0]], "duplicate"),       # rotated copy
+    (_SQUARE, [[0, 1, 2], [0, 2, 1]], "duplicate"),       # reversed copy
+    # copies that share an edge with a neighbour listed between them
+    (_SQUARE, [[0, 1, 3], [1, 2, 3], [0, 1, 3]], "duplicate"),
+    (_SQUARE, [[1, 2, 3], [0, 1, 3], [1, 2, 3]], "duplicate"),
+    (_SQUARE + [[2, -1]], [[0, 1, 2], [0, 2, 3], [0, 4, 2]], "more than two"),
+    (_RING, [t for i in range(4) for t in ([i, (i + 1) % 4, 4 + (i + 1) % 4],
+                                          [i, 4 + (i + 1) % 4, 4 + i])],
+     "V - E \\+ T \\+ 1 = 1, expected 2"),
+])
+def test_topology_errors_on_hand_built_meshes(verts, tris, message):
+    with pytest.raises(MeshError, match=message):
+        trimesh_from_arrays(verts, tris, reorient=True)
 
 
 def test_generator_argument_errors():

@@ -118,6 +118,20 @@ def test_nonfinite_tensors_rejected(value):
         field.sample(np.array([[0.3, 0.3]]))
 
 
+def test_non_spd_table_names_element_and_line(tmp_path):
+    bad = [[1.0, 0.0], [0.0, -1.0]]
+    with pytest.raises(FieldValidityError,
+                       match="not positive definite .* at element 2$"):
+        PiecewiseConstantField([np.eye(2), np.eye(2), bad, bad])
+    with pytest.raises(FieldValidityError,
+                       match="not symmetric .* element 1$"):
+        PiecewiseConstantField([np.eye(2), [[1.0, 2.0], [0.5, 1.0]]])
+    path = tmp_path / "field.txt"
+    path.write_text("# header\n1 0 1\n\n1 0 -1\n1 0 1\n")
+    with pytest.raises(FieldValidityError, match=f"{path}:4$"):
+        load_piecewise_field(path)
+
+
 def test_field_shape_errors():
     with pytest.raises(FieldValidityError, match="2x2"):
         ConstantField([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
