@@ -94,8 +94,8 @@ def main(argv=None):
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     result = {
         "pr": args.pr,
-        "base": {"path": str(args.base), "commit": commit_of(args.base)},
-        "head": {"path": str(args.head), "commit": commit_of(args.head)},
+        "base": {"commit": commit_of(args.base)},
+        "head": {"commit": commit_of(args.head)},
         "settings": {"pairs": args.pairs, "seconds": args.seconds,
                      "trace": 0, "first_seed": args.seed,
                      "order": "BASE first in even pairs, HEAD first in odd"},
