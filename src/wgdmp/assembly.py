@@ -205,18 +205,13 @@ def boundary_averages(mesh: TriMesh, g) -> np.ndarray:
                   np.broadcast_to(g2, (len(pts),)))
 
 
-def _entry_arrays(ed: ElementData, reduced: bool = False):
-    """Per-element entries ``(m00, b0, pairs)`` of shapes (T,), (T, 3) and
-    (T, 3, 3): ``pairs`` is the edge-edge block ``M_bb``, or with
-    ``reduced`` its Schur complement ``M_bb - M_b0 M_00^-1 M_0b``."""
+def _entry_arrays(ed: ElementData):
+    """Per-element entries of the blocks ``M_00``, ``M_0b`` and ``M_bb``,
+    of shapes (T,), (T, 3) and (T, 3, 3)."""
     m00 = ed.c_k ** 2 * ed.s_a
     b0 = (-(ed.c_k ** 2)[:, None] * ed.s_a[:, None] / 3.0
           - ed.c_k[:, None] * ed.lens * ed.m / ed.area[:, None])
     ll = ed.lens[:, :, None] * ed.lens[:, None, :]
-    if reduced:
-        mm = ed.m[:, :, None] * ed.m[:, None, :]
-        return m00, b0, ll / (ed.area ** 2)[:, None, None] * (
-            ed.n_mat - mm / ed.s_a[:, None, None])
     cross = (ed.lens * ed.m)[:, :, None] + (ed.lens * ed.m)[:, None, :]
     return m00, b0, ((ed.c_k ** 2 * ed.s_a / 9.0)[:, None, None]
                      + (ed.c_k / (3.0 * ed.area))[:, None, None] * cross
@@ -294,7 +289,12 @@ def schur_closed_form(mesh: TriMesh, field: TensorField,
     ``-M_b0 M_00^{-1} F_0``; omit it for a zero source.
     """
     ed = ElementData(mesh, field, rule)
-    m00, b0, schur = _entry_arrays(ed, reduced=True)
+    m00, b0, _ = _entry_arrays(ed)
+    # M_bb - M_b0 M_00^-1 M_0b per element, in closed form
+    ll = ed.lens[:, :, None] * ed.lens[:, None, :]
+    mm = ed.m[:, :, None] * ed.m[:, None, :]
+    schur = ll / (ed.area ** 2)[:, None, None] * (
+        ed.n_mat - mm / ed.s_a[:, None, None])
     a_mat, a_bdry = _scatter_edge_pairs(mesh, schur)
 
     ni = mesh.n_interior_edges

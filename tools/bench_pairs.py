@@ -7,17 +7,22 @@ Run from anywhere, with two checkouts of the repository:
         --workload audit-ring --workload ring-solve --workload aniso-sweep
 
 For each workload, each pair runs ``bench/run.py --trace 0`` once in BASE
-and once in HEAD, one after the other; the side that goes first
-alternates from pair to pair, and pair ``i`` uses seed ``seed + i`` on
-both sides.  The end-to-end metrics, their directions and bounds are read
-from HEAD's ``BENCHMARK.json``.  ``BENCH_<pr>.json`` records, per workload
-and metric, every run, each side's median and quartiles, the pairs HEAD
-won (ties count for neither side), and two verdicts:
+and once in HEAD, one after the other, for the run length that
+``bench/run.py`` sets; the side that goes first alternates from pair to
+pair, and pair ``i`` uses seed ``1 + i`` on both sides.  The end-to-end
+metrics, their directions and bounds are read from HEAD's
+``BENCHMARK.json``.  ``BENCH_<pr>.json``, written in the current
+directory, records per workload and metric every run, each side's median
+and quartiles, the pairs HEAD won (ties count for neither side), and two
+verdicts:
 
-* ``gain``: HEAD won at least nine tenths of the pairs and the medians
-  differ by more than BASE's interquartile range;
+* ``gain``: HEAD won at least nine tenths of the pairs, the medians
+  differ by more than BASE's interquartile range, and HEAD failed no
+  larger share of its operations than BASE;
 * ``within_bound``: HEAD's median is no worse than BASE's by more than
-  the benchmark's bound for the metric.
+  the benchmark's bound for the metric; ``"unresolved"`` when BASE's
+  interquartile range, relative to its median, is wider than the bound,
+  unless every HEAD run beats every BASE run.
 
 It also records the commits, the run settings and the library versions.
 """
@@ -36,11 +41,11 @@ import numpy as np
 import scipy
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float):
+def run_bench(checkout: Path, workload: str, seed: int):
     """One ``bench/run.py`` run; its final JSON line."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -61,19 +66,23 @@ def side_summary(values):
             "runs": [float(v) for v in values]}
 
 
-def compare(base, head, better, bound):
-    """Summary of one metric over the pairs ``zip(base, head)``."""
+def compare(base, head, better, bound, more_failures=False):
+    """Summary of one metric over the pairs ``zip(base, head)``;
+    ``more_failures`` says HEAD failed a larger share of its operations."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
     b, h = side_summary(base), side_summary(head)
     iqr = b["q3"] - b["q1"]
     worse_by = sign * (h["median"] - b["median"]) / abs(b["median"])
+    apart = max(sign * v for v in head) < min(sign * v for v in base)
+    within = ("unresolved" if iqr / abs(b["median"]) > bound and not apart
+              else bool(worse_by <= bound))
     return {
         "base": b, "head": h, "head_wins": int(wins), "pairs": len(base),
         "change": (h["median"] - b["median"]) / b["median"],
-        "gain": bool(wins >= 0.9 * len(base)
+        "gain": bool(wins >= 0.9 * len(base) and not more_failures
                      and sign * (b["median"] - h["median"]) > iqr),
-        "within_bound": bool(worse_by <= bound),
+        "within_bound": within,
     }
 
 
@@ -84,10 +93,6 @@ def main(argv=None):
     parser.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output file (default BENCH_<pr>.json)")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
@@ -96,8 +101,7 @@ def main(argv=None):
         "pr": args.pr,
         "base": {"commit": commit_of(args.base)},
         "head": {"commit": commit_of(args.head)},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "trace": 0, "first_seed": args.seed,
+        "settings": {"pairs": args.pairs, "trace": 0, "first_seed": 1,
                      "order": "BASE first in even pairs, HEAD first in odd"},
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__,
@@ -111,19 +115,20 @@ def main(argv=None):
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                out = run_bench(getattr(args, side), workload,
-                                args.seed + i, args.seconds)
+                out = run_bench(getattr(args, side), workload, 1 + i)
                 runs[side].append(out)
                 print(f"{workload} pair {i} {side}: "
                       + ", ".join(f"{k}={v['value']:.4g}"
                                   for k, v in out["metrics"].items())
                       + f", failed {out['failed']}/{out['attempted']}",
                       file=sys.stderr, flush=True)
-        result["workloads"][workload] = {
+        counts = result["workloads"][workload] = {
             side: {"correct": all(r["correct"] for r in rs),
                    "attempted": sum(r["attempted"] for r in rs),
                    "failed": sum(r["failed"] for r in rs)}
             for side, rs in runs.items()}
+        share = {side: c["failed"] / max(c["attempted"], 1)
+                 for side, c in counts.items()}
         values = {side: {name: [r["metrics"][name]["value"] for r in rs]
                          for name in metrics}
                   for side, rs in runs.items()}
@@ -131,9 +136,10 @@ def main(argv=None):
             name: {"unit": m["unit"], "better": m["better"],
                    "bound": m["bound"],
                    **compare(values["base"][name], values["head"][name],
-                             m["better"], m["bound"])}
+                             m["better"], m["bound"],
+                             share["head"] > share["base"])}
             for name, m in metrics.items()}
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
