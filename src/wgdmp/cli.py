@@ -180,7 +180,7 @@ def _cmd_audit(args):
     print(f"matrix audit: {'pass' if mm.passed else 'FAIL'} "
           f"({len(mm.offdiag_violations)} positive off-diagonals, "
           f"row-sum min {_fmt4(mm.rowsum_min)}, "
-          f"dense checks {'ran' if mm.dense_ran else 'skipped'})")
+          f"decided by {mm.decided_by})")
     ok = ok and mm.passed
     if args.full_system:
         fs = check_full_system_condition(data)

@@ -17,10 +17,11 @@ Three layers of checks, from local to global:
   It is the only check that needs a Lipschitz estimate and the smallest
   eigenvalue of the field, and it computes both itself.
 
-* **Global matrix audits** (:func:`mmatrix_audit`): sign structure and
-  row sums of the reduced matrix pair, and for small systems the dense
-  monotonicity check (nonnegative inverse) and the boundary-coupling
-  bound that together give the maximum principle.
+* **Global matrix audit** (:func:`mmatrix_audit`) of the reduced pair
+  ``(A, A_b)`` at every size: ``A`` must be a nonsingular M-matrix, so
+  ``A^{-1} >= 0``, and the row sums ``r = A 1 + A_b 1`` nonnegative.
+  Then the boundary-coupling bound ``1 + A^{-1} A_b 1 = A^{-1} r >= 0``
+  follows without a solve, and the two give the maximum principle.
 
 :func:`check_full_system_condition` evaluates the analogous sign
 condition for the *unreduced* edge-edge block, which is strictly more
@@ -36,10 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._csv import write_rows
 from .assembly import ElementData, _entry_arrays, ReducedSystem
-from .solve import WgSolution
+from .solve import SolverError, WgSolution, _sparse_direct
 
 __all__ = [
     "PAIRS",
@@ -59,8 +61,7 @@ __all__ = [
 
 #: Local edge pairs of a triangle, in report order.
 PAIRS = ((0, 1), (0, 2), (1, 2))
-
-DENSE_AUDIT_LIMIT = 500
+_PI, _PJ = np.array(PAIRS).T
 
 
 def _angles_all(ed: ElementData):
@@ -75,30 +76,23 @@ def _angles_all(ed: ElementData):
     ainv /= det[:, None, None]
     q = np.einsum("tia,tab,tjb->tij", ed.edge_dirs, ainv, ed.edge_dirs)
     norms = np.sqrt(np.einsum("tii->ti", q))
-    cos = np.empty((ed.area.shape[0], 3))
-    for p, (i, j) in enumerate(PAIRS):
-        cos[:, p] = -q[:, i, j] / (norms[:, i] * norms[:, j])
-    inner = np.stack([ed.n_mat[:, i, j] for (i, j) in PAIRS], axis=1)
-    return cos, inner
+    cos = -q[:, _PI, _PJ] / (norms[:, _PI] * norms[:, _PJ])
+    return cos, ed.n_mat[:, _PI, _PJ]
 
 
-def _eig_min(mats: np.ndarray) -> np.ndarray:
-    """Smaller eigenvalue of symmetric ``(..., 2, 2)`` matrices."""
+def _eigs(mats: np.ndarray):
+    """Eigenvalues ``(lam_min, lam_max)`` of symmetric ``(..., 2, 2)``
+    matrices."""
     m = np.asarray(mats)
     half_tr = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
     off = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
     rad = np.sqrt((0.5 * (m[..., 0, 0] - m[..., 1, 1])) ** 2 + off ** 2)
-    return half_tr - rad
+    return half_tr - rad, half_tr + rad
 
 
 def _slack_scale(ed: ElementData) -> np.ndarray:
     """Per-element magnitude ``|K| * lam_max(a_avg)`` for tolerances."""
-    tr = ed.a_avg[:, 0, 0] + ed.a_avg[:, 1, 1]
-    off = 0.5 * (ed.a_avg[:, 0, 1] + ed.a_avg[:, 1, 0])
-    rad = np.sqrt((0.5 * (ed.a_avg[:, 0, 0] - ed.a_avg[:, 1, 1])) ** 2
-                  + off ** 2)
-    lam_max = 0.5 * tr + rad
-    return ed.area * lam_max
+    return ed.area * _eigs(ed.a_avg)[1]
 
 
 @dataclass
@@ -134,8 +128,7 @@ def check_theorem_dmp(ed: ElementData) -> TheoremDmpReport:
     cos, inner = _angles_all(ed)
     slack = 1e-12 * _slack_scale(ed)
 
-    pair_rhs = np.stack([ed.m[:, i] * ed.m[:, j] / ed.s_a
-                         for (i, j) in PAIRS], axis=1)
+    pair_rhs = ed.m[:, _PI] * ed.m[:, _PJ] / ed.s_a[:, None]
     pair_pass = inner <= pair_rhs + slack[:, None]
 
     corr_lhs = np.abs(ed.m)
@@ -189,11 +182,12 @@ def _variation(ed: ElementData):
     """
     field = ed.field
     if field.constant_per_element:
-        return np.zeros(ed.mesh.n_elements), _eig_min(ed.a_avg)
+        return np.zeros(ed.mesh.n_elements), _eigs(ed.a_avg)[0]
     qp = np.einsum("qb,tbd->tqd", ed.rule.points, ed.coords)  # (T, n, 2)
     aq = field.sample(qp)                                     # (T, n, 2, 2)
     av = field.sample(ed.coords)                              # vertices
-    lam_min = np.minimum(_eig_min(aq).min(axis=1), _eig_min(av).min(axis=1))
+    lam_min = np.minimum(_eigs(aq)[0].min(axis=1),
+                         _eigs(av)[0].min(axis=1))
     if field.lipschitz_bound is not None:
         lip = np.full(ed.mesh.n_elements, float(field.lipschitz_bound))
         return lip, lam_min
@@ -246,32 +240,19 @@ class FullSystemReport:
     remark_pass: np.ndarray  # (T, 3) bool
     passed: bool
 
-    @property
-    def failing_pairs(self):
-        """List of ``(element, (i, j), value)`` with a positive entry."""
-        out = []
-        for t, p in zip(*np.nonzero(~self.mbb_pass)):
-            out.append((int(t), PAIRS[p], float(self.mbb_offdiag[t, p])))
-        return out
-
 
 def check_full_system_condition(ed: ElementData) -> FullSystemReport:
     _, _, bb = _entry_arrays(ed)
     slack = 1e-12 * _slack_scale(ed)
 
-    offdiag = np.stack([bb[:, i, j] for (i, j) in PAIRS], axis=1)
+    offdiag = bb[:, _PI, _PJ]
     mbb_pass = offdiag <= slack[:, None]
 
     # interior angle between the edge pair: cos = -e_i . e_j for the
     # counterclockwise directions, sin from the cross product
-    cos_t = np.empty((ed.mesh.n_elements, 3))
-    sin_t = np.empty((ed.mesh.n_elements, 3))
-    for p, (i, j) in enumerate(PAIRS):
-        ei = ed.edge_dirs[:, i]
-        ej = ed.edge_dirs[:, j]
-        cos_t[:, p] = -(ei * ej).sum(axis=1)
-        sin_t[:, p] = np.abs(ei[:, 0] * ej[:, 1] - ei[:, 1] * ej[:, 0])
-    cot = cos_t / sin_t
+    ei, ej = ed.edge_dirs[:, _PI], ed.edge_dirs[:, _PJ]
+    cot = -(ei * ej).sum(axis=2) / np.abs(ei[..., 0] * ej[..., 1]
+                                          - ei[..., 1] * ej[..., 0])
     rhs = 2.0 * ed.area ** 2 / (9.0 * ed.s_iso)
     remark_pass = cot >= rhs[:, None] - 1e-12 * (1.0 + np.abs(rhs))[:, None]
 
@@ -284,79 +265,95 @@ def check_full_system_condition(ed: ElementData) -> FullSystemReport:
 
 @dataclass
 class MmatrixReport:
-    """Global audit of the reduced matrix pair.
+    """Global audit of the reduced matrix pair ``(A, A_b)``.
 
-    Structural checks always run: off-diagonal nonpositivity of the
-    interior matrix and nonnegativity of the row sums over ``[A | A_b]``.
     ``offdiag_violations`` holds the ``(row, col)`` positions of the
-    positive off-diagonal entries of ``A`` as a ``(k, 2)`` int array.
-    The dense checks (inverse nonnegativity and the boundary-coupling
-    bound ``xi + A^{-1} A_b xi_b >= 0``) run only up to
-    ``DENSE_AUDIT_LIMIT`` unknowns.
+    positive off-diagonal entries of ``A`` as a ``(k, 2)`` int array; with
+    none, ``A`` is a Z-matrix and ``inv_pass`` says whether ``A^{-1} >= 0``
+    (else it is ``None``).  ``rowsum_min`` is the smallest row sum of
+    ``[A | A_b]``.  ``decided_by`` names the check that decided the
+    verdict: ``"sign structure"``, ``"row sums"``, ``"chained dominance"``
+    or ``"semipositivity"``.
     """
 
     offdiag_violations: np.ndarray
     rowsum_min: float
     rowsum_pass: bool
-    dense_ran: bool
-    inv_min: float | None
     inv_pass: bool | None
-    bound_min: float | None
-    bound_pass: bool | None
+    decided_by: str
     passed: bool
 
-    @property
-    def rowsum_max_dev(self) -> float:
-        """Largest negative row-sum excursion (0 when all are nonnegative)."""
-        return max(0.0, -self.rowsum_min)
+
+def _reaches_strict_row(row, col, strict) -> bool:
+    """Whether every row reaches a ``strict`` row along the links
+    ``row -> col``: one breadth-first search over the reversed links from
+    a super-node joined to the strict rows."""
+    # imported here, so that commands without a matrix audit never load it
+    from scipy.sparse.csgraph import breadth_first_order
+    n = strict.size
+    top = np.flatnonzero(strict)
+    src = np.r_[col, np.full(top.size, n)]
+    graph = sp.csr_matrix((np.ones(src.size), (src, np.r_[row, top])),
+                          shape=(n + 1, n + 1))
+    return breadth_first_order(graph, n, return_predecessors=False).size > n
 
 
-def mmatrix_audit(reduced: ReducedSystem, dense: bool | None = None) -> MmatrixReport:
+def _semipositive(a) -> bool:
+    """Whether ``x = max(A^{-1} 1, 0)`` has every ``(A x)_i`` above
+    ``1e-10 (|A| x)_i``; diagonal pivots suit an M-matrix."""
+    try:
+        x = np.maximum(_sparse_direct(a, np.ones(a.shape[0]), 1e-8)[0], 0.0)
+    except SolverError:                 # singular or inaccurate
+        return False
+    return bool(np.all(a @ x > 1e-10 * (abs(a) @ x)))
+
+
+def mmatrix_audit(reduced: ReducedSystem) -> MmatrixReport:
     """Audit the reduced pair ``(A, A_b)`` for M-matrix structure.
 
-    ``dense=None`` runs the dense checks automatically when the system is
-    small enough; ``dense=True`` insists (raising ``ValueError`` above the
-    cap); ``dense=False`` skips them.
+    A Z-matrix ``A`` is a nonsingular M-matrix, so ``A^{-1} >= 0``, when
+    it is weakly chained diagonally dominant (Azimzadeh & Forsyth, SIAM J.
+    Numer. Anal. 54(3), 2016): its row sums are nonnegative and every row
+    reaches a strictly dominant row along its links, the negative
+    off-diagonal entries; one O(nnz) graph search.  Where positive entries
+    of ``A_b`` cost rows their dominance, one sparse LU checks instead that
+    ``A`` is semipositive (``A x > 0`` for some ``x >= 0``).  Entries
+    beyond ``1e-12`` of the largest entry are positive or links; row sums
+    beyond ``1e-10`` of the row's absolute sum over ``[A | A_b]`` are
+    negative or strict.  Raises ``ValueError`` when ``A`` is empty.
     """
     a = reduced.a_mat.tocoo()
     n = reduced.a_mat.shape[0]
-    scale = float(np.abs(a.data).max()) if a.nnz else 0.0
-    tol_off = 1e-12 * scale
+    if not n:
+        raise ValueError("the reduced system has 0 interior edges, "
+                         "so there is no matrix to audit")
+    tol_off = 1e-12 * float(np.abs(a.data).max(initial=0.0))
     off = a.row != a.col
     bad = off & (a.data > tol_off)
     violations = np.stack([a.row[bad], a.col[bad]], axis=1)
 
     ones_i = np.ones(n)
     ones_b = np.ones(reduced.a_bdry.shape[1])
-    rowsum = reduced.a_mat @ ones_i + reduced.a_bdry @ ones_b
+    rowsum_a = reduced.a_mat @ ones_i
+    rowsum = rowsum_a + reduced.a_bdry @ ones_b
     rowabs = np.abs(reduced.a_mat) @ ones_i + np.abs(reduced.a_bdry) @ ones_b
-    margin = rowsum + 1e-10 * np.maximum(rowabs, 1e-300)
-    rowsum_pass = bool(np.all(margin >= 0)) if n else True
-    rowsum_min = float(rowsum.min()) if n else 0.0
+    tol_row = 1e-10 * np.maximum(rowabs, 1e-300)
+    rowsum_pass = bool(np.all(rowsum + tol_row >= 0))
 
-    run_dense = dense if dense is not None else n <= DENSE_AUDIT_LIMIT
-    if dense is True and n > DENSE_AUDIT_LIMIT:
-        raise ValueError(f"dense audit limited to {DENSE_AUDIT_LIMIT} "
-                         f"unknowns, system has {n}")
-    inv_min = inv_pass = bound_min = bound_pass = None
-    if run_dense and n:
-        ainv = np.linalg.inv(reduced.a_mat.toarray())
-        inv_min = float(ainv.min())
-        inv_pass = bool(inv_min >= -1e-10 * np.abs(ainv).sum(axis=1).max())
-        vec = ones_i + ainv @ (reduced.a_bdry @ ones_b)
-        bound_min = float(vec.min())
-        bound_pass = bool(bound_min >= -1e-10)
-
-    passed = not len(violations) and rowsum_pass
-    if run_dense and n:
-        passed = passed and inv_pass and bound_pass
+    inv_pass = chained = None
+    if not len(violations):
+        link = off & (a.data < -tol_off)
+        chained = bool(np.all(rowsum_a >= -tol_row)) and _reaches_strict_row(
+            a.row[link], a.col[link], rowsum_a > tol_row)
+        inv_pass = chained or _semipositive(reduced.a_mat)
+    decided_by = ("sign structure" if inv_pass is None else
+                  "row sums" if not rowsum_pass else
+                  "chained dominance" if chained else "semipositivity")
     return MmatrixReport(
         offdiag_violations=violations,
-        rowsum_min=rowsum_min, rowsum_pass=rowsum_pass,
-        dense_ran=bool(run_dense and n),
-        inv_min=inv_min, inv_pass=inv_pass,
-        bound_min=bound_min, bound_pass=bound_pass,
-        passed=passed,
+        rowsum_min=float(rowsum.min()), rowsum_pass=rowsum_pass,
+        inv_pass=inv_pass, decided_by=decided_by,
+        passed=bool(inv_pass and rowsum_pass),
     )
 
 

@@ -250,6 +250,8 @@ def load_piecewise_field(path, n_elements: int | None = None) -> PiecewiseConsta
                 raise FieldValidityError(
                     f"{path}:{lineno}: non-finite number in {body!r}")
             linenos.append(lineno)
+    if not rows:
+        raise FieldValidityError(f"{path}: no data lines")
     if n_elements is not None and len(rows) != n_elements:
         raise FieldValidityError(
             f"{path}: {len(rows)} field lines for {n_elements} elements")

@@ -5,16 +5,25 @@ and uses the factorial formula
 ``int_K l1^a l2^b l3^c = a! b! c! / (a+b+c+2)! * 2|K|`` — independent of
 any quadrature rule in the package.  :func:`quad_integrate` applies a
 package rule to one triangle, so that the rules can be checked against
-that oracle.
+that oracle.  :func:`dense_mmatrix_verdict` is the dense-inverse oracle of
+the global matrix audit.
+
+Hypothesis runs under a derandomized profile without an example
+database, so every run of the suite draws the same examples.
 """
 
 from math import factorial
 
 import numpy as np
+from hypothesis import settings
 
 from wgdmp.assembly import ElementData
 from wgdmp.mesh import trimesh_from_arrays
 from wgdmp.tensor import ConstantField
+
+settings.register_profile("derandomized", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("derandomized")
 
 
 def exact_monomial(coords, a, b):
@@ -94,3 +103,17 @@ def single_element(coords, field=None, rule=None):
     """ElementData of a one-triangle mesh (identity tensor by default)."""
     mesh = trimesh_from_arrays(coords, [[0, 1, 2]])
     return ElementData(mesh, field or ConstantField(np.eye(2)), rule)
+
+
+def dense_mmatrix_verdict(reduced):
+    """Dense oracle for ``mmatrix_audit``: whether ``A^{-1}`` is
+    nonnegative and whether ``1 + A^{-1} A_b 1 >= 0``, both from
+    ``np.linalg.inv`` within ``1e-10`` (``(False, False)`` when ``A`` is
+    singular)."""
+    try:
+        ainv = np.linalg.inv(reduced.a_mat.toarray())
+    except np.linalg.LinAlgError:
+        return False, False
+    inv_ok = bool(ainv.min() >= -1e-10 * np.abs(ainv).sum(axis=1).max())
+    bound = 1.0 + ainv @ (reduced.a_bdry @ np.ones(reduced.a_bdry.shape[1]))
+    return inv_ok, bool(bound.min() >= -1e-10)

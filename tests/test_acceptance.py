@@ -303,7 +303,8 @@ def test_acceptance_7_block_vs_reduced(capsys):
     data = ElementData(mesh, field)
 
     thm_passed = bool(check_theorem_dmp(data).passed)
-    mm_passed = bool(mmatrix_audit(schur_closed_form(mesh, field)).passed)
+    mm = mmatrix_audit(schur_closed_form(mesh, field))
+    mm_passed = bool(mm.passed)
 
     fs = check_full_system_condition(data)
     fs_failed = not fs.passed
@@ -314,7 +315,8 @@ def test_acceptance_7_block_vs_reduced(capsys):
 
     ok = thm_passed and mm_passed and fs_failed and failures_are_right_angles
     announce(capsys, 7, "block-vs-reduced", ok,
-             f"reduced-side audits pass ({thm_passed}, {mm_passed}); "
+             f"reduced-side audits pass ({thm_passed}, {mm_passed}, "
+             f"decided by {mm.decided_by}); "
              f"unreduced sign audit fails ({fs_failed}) exactly on "
              f"right-angle pairs ({failures_are_right_angles})")
     assert ok

@@ -202,6 +202,22 @@ def test_audit_malformed_mesh(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_audit_empty_interior_exits_2(tmp_path, capsys):
+    # one triangle: every edge is a boundary edge, so there is no reduced
+    # matrix to audit; solving it still works
+    mesh = tmp_path / "one.mesh"
+    mesh.write_text("3 1\n0 0\n1 0\n0 1\n0 1 2\n")
+    rc = main(["audit", "--mesh", str(mesh), "--field", "identity",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "matrix audit" not in out
+    assert "0 interior edges" in err
+    rc = main(["solve", "--mesh", str(mesh), "--field", "identity",
+               "--out", str(tmp_path)])
+    assert rc == 0
+
+
 # ---------------------------------------------------------------------------
 # benchmark sweeps
 

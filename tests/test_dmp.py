@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import random_spd, random_triangle, single_element
+from conftest import (dense_mmatrix_verdict, random_spd, random_triangle,
+                      single_element)
 
 from wgdmp.assembly import ElementData, ReducedSystem, schur_closed_form
 from wgdmp.dmp import (PAIRS, FullSystemReport, TheoremDmpReport,
@@ -179,7 +180,7 @@ def test_full_system_unit_right():
     assert rep.remark_rhs[0] == pytest.approx(1.0, rel=1e-13)
     assert rep.remark_pass[0].tolist() == [True, False, True]
     assert not rep.passed
-    assert rep.failing_pairs == [(0, (0, 2), pytest.approx(2.0, rel=1e-13))]
+    assert rep.mbb_offdiag[0, 1] == pytest.approx(2.0, rel=1e-13)
 
 
 def test_full_system_sign_matches_geometric_restatement():
@@ -229,18 +230,37 @@ def test_reduced_vs_full_strictness():
 # ---------------------------------------------------------------------------
 # global matrix audit
 
+def assert_matches_oracle(red, rep):
+    """``passed`` equals the dense verdict: Z-matrix, nonnegative row sums,
+    ``A^{-1} >= 0`` and the boundary bound; ``inv_pass`` is the oracle's
+    inverse sign wherever the certificate applies."""
+    inv_ok, bound_ok = dense_mmatrix_verdict(red)
+    z = rep.offdiag_violations.shape[0] == 0
+    assert rep.passed == (z and rep.rowsum_pass and inv_ok and bound_ok)
+    assert rep.inv_pass == (inv_ok if z else None)
+    return inv_ok, bound_ok
+
+
+def pair(a, a_b):
+    a = np.asarray(a, dtype=float)
+    return ReducedSystem(a_mat=sp.csr_matrix(a),
+                         a_bdry=sp.csr_matrix(np.asarray(a_b, dtype=float)),
+                         rhs=np.zeros(a.shape[0]))
+
+
 def test_mmatrix_audit_mesh45_passes():
     field, _, _ = example_fields("example51")
     mesh = generate_structured("mesh45", 8, 8, (0, 0, 16, 16))
     assert mesh.n_interior_edges == 176
-    rep = mmatrix_audit(schur_closed_form(mesh, field))
+    red = schur_closed_form(mesh, field)
+    rep = mmatrix_audit(red)
     assert rep.offdiag_violations.shape == (0, 2)
     assert rep.rowsum_pass
-    assert rep.rowsum_max_dev <= 1e-10
-    assert rep.dense_ran
+    assert rep.rowsum_min >= -1e-10
     assert rep.inv_pass
-    assert rep.bound_pass
+    assert rep.decided_by == "chained dominance"
     assert rep.passed
+    assert assert_matches_oracle(red, rep) == (True, True)
 
 
 def test_mmatrix_audit_mesh135_fails():
@@ -255,24 +275,22 @@ def test_mmatrix_audit_mesh135_fails():
     np.fill_diagonal(positive, False)
     assert sorted(map(tuple, rep.offdiag_violations.tolist())) == \
         sorted(zip(*np.nonzero(positive)))
-    # row sums still vanish; monotonicity is what breaks
+    # row sums still vanish; the sign structure decides, and the dense
+    # inverse has the negative entries that break monotonicity
     assert rep.rowsum_pass
-    assert rep.dense_ran
-    assert not rep.inv_pass
+    assert rep.decided_by == "sign structure"
+    assert rep.inv_pass is None
+    assert assert_matches_oracle(red, rep)[0] is False
 
 
 def test_mmatrix_audit_hand_example():
-    red = ReducedSystem(
-        a_mat=sp.csr_matrix(np.array([[2.0]])),
-        a_bdry=sp.csr_matrix(np.array([[-1.0, -1.0]])),
-        rhs=np.zeros(1),
-    )
+    # bound vector 1 + A^{-1} A_b 1 = 1 + 0.5 * (-2) = 0 exactly
+    red = pair([[2.0]], [[-1.0, -1.0]])
     rep = mmatrix_audit(red)
     assert rep.passed
     assert rep.rowsum_min == pytest.approx(0.0, abs=1e-14)
-    assert rep.inv_min == pytest.approx(0.5)
-    # bound vector 1 + A^{-1} A_b 1 = 1 + 0.5 * (-2) = 0 exactly
-    assert rep.bound_min == pytest.approx(0.0, abs=1e-14)
+    assert rep.decided_by == "chained dominance"
+    assert assert_matches_oracle(red, rep) == (True, True)
 
 
 def test_mmatrix_audit_single_cell():
@@ -281,23 +299,50 @@ def test_mmatrix_audit_single_cell():
     assert red.a_mat.toarray() == pytest.approx(np.array([[8.0]]), rel=1e-13)
     rep = mmatrix_audit(red)
     assert rep.passed
-    assert rep.inv_min == pytest.approx(0.125, rel=1e-13)
-    assert rep.bound_min == pytest.approx(0.0, abs=1e-13)
+    assert rep.inv_pass
+    assert assert_matches_oracle(red, rep) == (True, True)
 
 
-def test_mmatrix_dense_cap():
-    n = 501
-    red = ReducedSystem(a_mat=sp.identity(n, format="csr"),
-                        a_bdry=sp.csr_matrix((n, 1)),
-                        rhs=np.zeros(n))
-    with pytest.raises(ValueError, match="500"):
-        mmatrix_audit(red, dense=True)
-    rep = mmatrix_audit(red)          # auto: skipped above the cap
-    assert not rep.dense_ran
-    assert rep.inv_min is None
-    rep = mmatrix_audit(red, dense=False)
-    assert not rep.dense_ran
-    assert rep.passed                 # structural checks only
+@pytest.mark.parametrize("a, a_b, decided_by, passed", [
+    # row 0 is strict; rows 1 and 2 link only to each other, so they are
+    # weakly connected to row 0 but reach no strict row: A is singular
+    ([[2, -1, 0], [0, 1, -1], [0, -1, 1]], [[0], [0], [0]],
+     "semipositivity", False),
+    # the same rows with row 2 linked to row 0 certify
+    ([[2, -1, 0], [0, 1, -1], [-1, -1, 2]], [[0], [0], [0]],
+     "chained dominance", True),
+    # row 0 reaches the strict row 1 only through its one link
+    ([[1, -1], [0, 1]], [[0], [0]], "chained dominance", True),
+    # row 0 of A sums to -0.5, offset by a positive boundary entry, yet
+    # A^{-1} = [[1, 1.5], [0, 1]] >= 0
+    ([[1, -1.5], [0, 1]], [[0.5], [0]], "semipositivity", True),
+    ([[1, -2], [-2, 1]], [[0], [0]], "row sums", False),
+    ([[1, 0.5], [0.5, 1]], [[-1], [-1]], "sign structure", False),
+])
+def test_mmatrix_audit_hand_built_pairs(a, a_b, decided_by, passed):
+    red = pair(a, a_b)
+    rep = mmatrix_audit(red)
+    assert rep.decided_by == decided_by
+    assert rep.passed is passed
+    assert_matches_oracle(red, rep)
+
+
+def test_mmatrix_certificate_above_old_dense_cap():
+    # 600 unknowns: above the 500 where the dense checks used to stop
+    n = 600
+    rep = mmatrix_audit(pair(np.eye(n), np.zeros((n, 1))))
+    assert rep.passed and rep.inv_pass
+    assert rep.decided_by == "chained dominance"
+    # pure-Neumann path Laplacian: zero row sums, no boundary coupling,
+    # so no row is strict, and A is singular, so no x >= 0 has A x > 0
+    lap = sp.diags([-np.ones(n - 1), np.r_[1.0, np.full(n - 2, 2.0), 1.0],
+                    -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    rep = mmatrix_audit(ReducedSystem(a_mat=lap, a_bdry=sp.csr_matrix((n, 1)),
+                                      rhs=np.zeros(n)))
+    assert rep.rowsum_pass
+    assert rep.inv_pass is False
+    assert rep.decided_by == "semipositivity"
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,9 @@ def test_load_piecewise_errors(tmp_path):
     path.write_text("1 0 1\n# comment\nnan 0 1\n")
     with pytest.raises(FieldValidityError, match=f"{path}:3: non-finite"):
         load_piecewise_field(path)
+    path.write_text("# only\n")
+    with pytest.raises(FieldValidityError, match=f"{path}: no data lines"):
+        load_piecewise_field(path)
 
 
 # ---------------------------------------------------------------------------
