@@ -5,8 +5,8 @@ and uses the factorial formula
 ``int_K l1^a l2^b l3^c = a! b! c! / (a+b+c+2)! * 2|K|`` — independent of
 any quadrature rule in the package.  :func:`quad_integrate` applies a
 package rule to one triangle, so that the rules can be checked against
-that oracle.  :func:`dense_mmatrix_verdict` is the dense-inverse oracle of
-the global matrix audit.
+that oracle.  :func:`assert_agrees_with_dense_oracle` is the dense-inverse oracle
+of the global matrix audit.
 
 Hypothesis runs under a derandomized profile without an example
 database, so every run of the suite draws the same examples.
@@ -105,15 +105,26 @@ def single_element(coords, field=None, rule=None):
     return ElementData(mesh, field or ConstantField(np.eye(2)), rule)
 
 
-def dense_mmatrix_verdict(reduced):
-    """Dense oracle for ``mmatrix_audit``: whether ``A^{-1}`` is
-    nonnegative and whether ``1 + A^{-1} A_b 1 >= 0``, both from
-    ``np.linalg.inv`` within ``1e-10`` (``(False, False)`` when ``A`` is
-    singular)."""
+def assert_agrees_with_dense_oracle(reduced, rep):
+    """Check an ``mmatrix_audit`` report against ``np.linalg.inv``.
+
+    The oracle's verdict: ``A`` is a Z-matrix, the row sums are
+    nonnegative, ``A^{-1} >= 0`` and ``1 + A^{-1} A_b 1 >= 0``, the last
+    two within ``1e-10`` and both false when ``A`` is singular.
+    ``passed`` must equal it, and ``inv_pass`` must equal the inverse's
+    sign wherever ``A`` is a Z-matrix.  Returns the oracle's
+    ``(inverse nonnegative, bound holds)``.
+    """
     try:
         ainv = np.linalg.inv(reduced.a_mat.toarray())
     except np.linalg.LinAlgError:
-        return False, False
-    inv_ok = bool(ainv.min() >= -1e-10 * np.abs(ainv).sum(axis=1).max())
-    bound = 1.0 + ainv @ (reduced.a_bdry @ np.ones(reduced.a_bdry.shape[1]))
-    return inv_ok, bool(bound.min() >= -1e-10)
+        inv_ok = bound_ok = False
+    else:
+        inv_ok = bool(ainv.min() >= -1e-10 * np.abs(ainv).sum(axis=1).max())
+        bound = 1.0 + ainv @ (reduced.a_bdry
+                              @ np.ones(reduced.a_bdry.shape[1]))
+        bound_ok = bool(bound.min() >= -1e-10)
+    z = rep.offdiag_violations.shape[0] == 0
+    assert rep.passed == (z and rep.rowsum_pass and inv_ok and bound_ok)
+    assert rep.inv_pass == (inv_ok if z else None)
+    return inv_ok, bound_ok

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import (dense_mmatrix_verdict, random_spd, random_triangle,
-                      single_element)
+from conftest import (assert_agrees_with_dense_oracle, random_spd,
+                      random_triangle, single_element)
 
 from wgdmp.assembly import ElementData, ReducedSystem, schur_closed_form
 from wgdmp.dmp import (PAIRS, FullSystemReport, TheoremDmpReport,
@@ -230,17 +230,6 @@ def test_reduced_vs_full_strictness():
 # ---------------------------------------------------------------------------
 # global matrix audit
 
-def assert_matches_oracle(red, rep):
-    """``passed`` equals the dense verdict: Z-matrix, nonnegative row sums,
-    ``A^{-1} >= 0`` and the boundary bound; ``inv_pass`` is the oracle's
-    inverse sign wherever the certificate applies."""
-    inv_ok, bound_ok = dense_mmatrix_verdict(red)
-    z = rep.offdiag_violations.shape[0] == 0
-    assert rep.passed == (z and rep.rowsum_pass and inv_ok and bound_ok)
-    assert rep.inv_pass == (inv_ok if z else None)
-    return inv_ok, bound_ok
-
-
 def pair(a, a_b):
     a = np.asarray(a, dtype=float)
     return ReducedSystem(a_mat=sp.csr_matrix(a),
@@ -260,7 +249,7 @@ def test_mmatrix_audit_mesh45_passes():
     assert rep.inv_pass
     assert rep.decided_by == "chained dominance"
     assert rep.passed
-    assert assert_matches_oracle(red, rep) == (True, True)
+    assert assert_agrees_with_dense_oracle(red, rep) == (True, True)
 
 
 def test_mmatrix_audit_mesh135_fails():
@@ -280,7 +269,7 @@ def test_mmatrix_audit_mesh135_fails():
     assert rep.rowsum_pass
     assert rep.decided_by == "sign structure"
     assert rep.inv_pass is None
-    assert assert_matches_oracle(red, rep)[0] is False
+    assert assert_agrees_with_dense_oracle(red, rep)[0] is False
 
 
 def test_mmatrix_audit_hand_example():
@@ -290,7 +279,7 @@ def test_mmatrix_audit_hand_example():
     assert rep.passed
     assert rep.rowsum_min == pytest.approx(0.0, abs=1e-14)
     assert rep.decided_by == "chained dominance"
-    assert assert_matches_oracle(red, rep) == (True, True)
+    assert assert_agrees_with_dense_oracle(red, rep) == (True, True)
 
 
 def test_mmatrix_audit_single_cell():
@@ -300,7 +289,7 @@ def test_mmatrix_audit_single_cell():
     rep = mmatrix_audit(red)
     assert rep.passed
     assert rep.inv_pass
-    assert assert_matches_oracle(red, rep) == (True, True)
+    assert assert_agrees_with_dense_oracle(red, rep) == (True, True)
 
 
 @pytest.mark.parametrize("a, a_b, decided_by, passed", [
@@ -324,7 +313,7 @@ def test_mmatrix_audit_hand_built_pairs(a, a_b, decided_by, passed):
     rep = mmatrix_audit(red)
     assert rep.decided_by == decided_by
     assert rep.passed is passed
-    assert_matches_oracle(red, rep)
+    assert_agrees_with_dense_oracle(red, rep)
 
 
 def test_mmatrix_certificate_above_old_dense_cap():
