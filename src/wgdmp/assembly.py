@@ -107,7 +107,7 @@ class ElementData:
                  "cen", "diam", "s_iso", "c_k", "edge_dirs", "a_avg", "s_a",
                  "m", "n_mat")
     #: Elements per block when a functional field is sampled.
-    SAMPLE_BLOCK = 8192
+    SAMPLE_BLOCK = 2048
 
     def __init__(self, mesh: TriMesh, field: TensorField,
                  rule: QuadratureRule | None = None):
@@ -165,7 +165,7 @@ class ElementData:
             self.m = np.empty((nt, 3))
             for b in (slice(k, k + nb) for k in range(0, nt, nb)):
                 qp = np.einsum("qb,tbd->tqd", self.rule.points, p[b])
-                aq = field.sample(qp)                        # (t, n, 2, 2)
+                aq = field.sample(qp, element=b.start)       # (t, n, 2, 2)
                 self.a_avg[b] = np.einsum("q,tqab->tab", w, aq)
                 d = qp - cen[b, None, :]
                 ad = np.einsum("tqab,tqb->tqa", aq, d)

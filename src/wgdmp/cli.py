@@ -138,18 +138,20 @@ def _add_common(p):
 def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=1e-12,
                    help="relative true-residual tolerance of the solve")
-    p.add_argument("--method", default="cg",
-                   help="cg (conjugate-gradient-jacobi, the default) or "
-                        "cholesky (sparse-direct: one sparse LU factorization "
-                        "in symmetric mode)")
+    p.add_argument("--method", default="sparse-direct",
+                   help="sparse-direct (the default, alias cholesky: one "
+                        "sparse LU factorization in symmetric mode) or cg "
+                        "(conjugate-gradient-jacobi)")
     p.add_argument("--max-iterations", type=int, default=None,
-                   help="conjugate gradient iteration budget (default 20n)")
+                   help="conjugate gradient iteration budget, with "
+                        "--method cg only (default 20n)")
 
 
 def _cmd_solve(args):
     mesh, field, f, g, _ = _resolve_problem(args)
-    data = ElementData(mesh, field, quadrature(args.degree))
-    sol = solve_problem(data, f=f, g=g, config=_solver_config(args))
+    config = _solver_config(args)
+    sol = solve_problem(ElementData(mesh, field, quadrature(args.degree)),
+                        f=f, g=g, config=config)
     os.makedirs(args.out, exist_ok=True)
     export_solution_csv(sol, os.path.join(args.out, "solution.csv"))
     export_vertex_csv(mesh, vertex_average(mesh, sol),
@@ -191,27 +193,29 @@ def _cmd_audit(args):
     return 0 if ok else 1
 
 
+def _example1_case(kind, n, field, f, g, out_dir, config):
+    """One row of :func:`run_example1`; its arrays are freed on return,
+    before the next case builds its mesh."""
+    mesh = generate_structured(kind, n, n, _EXAMPLE_DOMAINS["example51"])
+    held = [ElementData(mesh, field)]
+    theorem_pass = check_theorem_dmp(held[0]).passed
+    # hand over the only reference, so that the solve frees the data
+    sol = solve_problem(held.pop(), f=f, g=g, config=config)
+    v = solution_verdict(sol)
+    export_vertex_csv(mesh, vertex_average(mesh, sol),
+                      os.path.join(out_dir, f"example1_{kind}_{n}_vertices.csv"))
+    return {"kind": kind, "size": n,
+            "max_ub": v.max_ub, "min_ub": v.min_ub,
+            "max_u0": v.max_u0, "min_u0": v.min_u0,
+            "theorem_pass": theorem_pass, "verdict_pass": bool(v.passed)}
+
+
 def run_example1(sizes, kinds, out_dir=".", config=None):
     """Extrema sweep of the constant-tensor benchmark; returns table rows."""
     field, f, g = example_fields("example51")
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for kind in kinds:
-        for n in sizes:
-            mesh = generate_structured(kind, n, n, _EXAMPLE_DOMAINS["example51"])
-            data = ElementData(mesh, field)
-            sol = solve_problem(data, f=f, g=g, config=config)
-            v = solution_verdict(sol)
-            thm = check_theorem_dmp(data)
-            rows.append({
-                "kind": kind, "size": n,
-                "max_ub": v.max_ub, "min_ub": v.min_ub,
-                "max_u0": v.max_u0, "min_u0": v.min_u0,
-                "theorem_pass": thm.passed, "verdict_pass": bool(v.passed),
-            })
-            export_vertex_csv(mesh, vertex_average(mesh, sol),
-                              os.path.join(out_dir,
-                                           f"example1_{kind}_{n}_vertices.csv"))
+    rows = [_example1_case(kind, n, field, f, g, out_dir, config)
+            for kind in kinds for n in sizes]
     _write_table(os.path.join(out_dir, "example1_table.csv"), rows,
                  "kind,size,max_ub,min_ub,max_u0,min_u0",
                  "%s,%s" + ",%.17g" * 4)
@@ -234,30 +238,27 @@ def _cmd_example1(args):
     return 0
 
 
+def _example2_case(kind, gamma, n, out_dir, config):
+    """One row of :func:`run_example2`; its arrays are freed on return,
+    before the next case builds its mesh."""
+    field, f, g = example_fields("example52", gamma=gamma)
+    mesh = generate_structured(kind, n, n, _EXAMPLE_DOMAINS["example52"])
+    sol = solve_problem(ElementData(mesh, field), f=f, g=g, config=config)
+    v = solution_verdict(sol)
+    if v.violating_edges or v.violating_elements:
+        write_violations(v, sol, os.path.join(
+            out_dir, f"example2_{kind}_g{gamma:g}_{n}_violations.csv"))
+    return {"kind": kind, "gamma": gamma, "size": n,
+            "max_ub": v.max_ub, "min_ub": v.min_ub,
+            "max_u0": v.max_u0, "min_u0": v.min_u0,
+            "verdict_pass": bool(v.passed)}
+
+
 def run_example2(sizes, kinds, gammas, out_dir=".", config=None):
     """Extrema sweep of the Gaussian-ring benchmark; returns table rows."""
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for kind in kinds:
-        for gamma in gammas:
-            field, f, g = example_fields("example52", gamma=gamma)
-            for n in sizes:
-                mesh = generate_structured(kind, n, n,
-                                           _EXAMPLE_DOMAINS["example52"])
-                sol = solve_problem(ElementData(mesh, field), f=f, g=g,
-                                    config=config)
-                v = solution_verdict(sol)
-                rows.append({
-                    "kind": kind, "gamma": gamma, "size": n,
-                    "max_ub": v.max_ub, "min_ub": v.min_ub,
-                    "max_u0": v.max_u0, "min_u0": v.min_u0,
-                    "verdict_pass": bool(v.passed),
-                })
-                if v.violating_edges or v.violating_elements:
-                    write_violations(
-                        v, sol,
-                        os.path.join(out_dir,
-                                     f"example2_{kind}_g{gamma:g}_{n}_violations.csv"))
+    rows = [_example2_case(kind, gamma, n, out_dir, config)
+            for kind in kinds for gamma in gammas for n in sizes]
     _write_table(os.path.join(out_dir, "example2_table.csv"), rows,
                  "kind,gamma,size,max_ub,min_ub,max_u0,min_u0",
                  "%s,%g,%s" + ",%.17g" * 4)

@@ -178,26 +178,30 @@ def _variation(ed: ElementData):
     """Per-element Lipschitz estimate and smallest eigenvalue of the field.
 
     Constant-per-element fields have no variation.  Functional fields are
-    sampled again at the quadrature points and at the vertices.
+    sampled again at the quadrature points and at the vertices, in blocks
+    of :attr:`ElementData.SAMPLE_BLOCK` elements, which bounds the memory
+    of the samples and their pairwise differences at any size.
     """
-    field = ed.field
+    field, nt = ed.field, ed.mesh.n_elements
     if field.constant_per_element:
-        return np.zeros(ed.mesh.n_elements), _eigs(ed.a_avg)[0]
-    qp = np.einsum("qb,tbd->tqd", ed.rule.points, ed.coords)  # (T, n, 2)
-    aq = field.sample(qp)                                     # (T, n, 2, 2)
-    av = field.sample(ed.coords)                              # vertices
-    lam_min = np.minimum(_eigs(aq)[0].min(axis=1),
-                         _eigs(av)[0].min(axis=1))
-    if field.lipschitz_bound is not None:
-        lip = np.full(ed.mesh.n_elements, float(field.lipschitz_bound))
-        return lip, lam_min
-    diff = aq[:, :, None] - aq[:, None, :]
-    num = np.sqrt((diff ** 2).sum(axis=(3, 4)))
-    den = np.sqrt(((qp[:, :, None] - qp[:, None, :]) ** 2).sum(axis=3))
-    eps = 1e-14 * np.maximum(ed.diam, 1e-300)
-    ratio = np.where(den > eps[:, None, None],
-                     num / np.maximum(den, 1e-300), 0.0)
-    return ratio.max(axis=(1, 2)), lam_min
+        return np.zeros(nt), _eigs(ed.a_avg)[0]
+    lam_min = np.empty(nt)
+    lip = np.full(nt, float(field.lipschitz_bound or 0.0))
+    for b in (slice(k, k + ed.SAMPLE_BLOCK)
+              for k in range(0, nt, ed.SAMPLE_BLOCK)):
+        qp = np.einsum("qb,tbd->tqd", ed.rule.points, ed.coords[b])
+        aq = field.sample(qp, element=b.start)                # (t, n, 2, 2)
+        av = field.sample(ed.coords[b], element=b.start)      # vertices
+        lam_min[b] = np.minimum(_eigs(aq)[0].min(axis=1),
+                                _eigs(av)[0].min(axis=1))
+        if field.lipschitz_bound is None:
+            diff = aq[:, :, None] - aq[:, None, :]
+            num = np.sqrt((diff ** 2).sum(axis=(3, 4)))
+            den = np.sqrt(((qp[:, :, None] - qp[:, None, :]) ** 2).sum(axis=3))
+            eps = 1e-14 * np.maximum(ed.diam[b], 1e-300)
+            lip[b] = np.where(den > eps[:, None, None],
+                              num / np.maximum(den, 1e-300), 0.0).max(axis=(1, 2))
+    return lip, lam_min
 
 
 def check_theorem_general(ed: ElementData) -> TheoremGeneralReport:

@@ -178,7 +178,11 @@ def _build_topology(vertices: np.ndarray, triangles: np.ndarray,
     starts = np.flatnonzero(new_edge)
     counts = np.diff(np.append(starts, key.size))
     if np.any(counts > 2):
-        raise MeshError("edge shared by more than two triangles")
+        e = int(np.argmax(counts > 2))
+        slots = order[starts[e]:starts[e] + counts[e]]
+        raise MeshError(f"edge ({lo[slots[0]]}, {hi[slots[0]]}) shared by "
+                        f"more than two triangles: "
+                        f"{', '.join(str(s // 3) for s in slots)}")
 
     euler = verts.shape[0] - starts.size + tris.shape[0] + 1
     if euler != 2:

@@ -97,8 +97,8 @@ def quadrature(degree: int) -> QuadratureRule:
 
 def _check_spd(mats: np.ndarray, where: str, name=None) -> None:
     """Validate finiteness, symmetry and positive definiteness of
-    ``(..., 2, 2)`` matrices.  For a ``(T, 2, 2)`` table, ``name(k)``
-    labels matrix ``k`` so that the error names the first bad one."""
+    ``(T, ..., 2, 2)`` matrices.  ``name(k)`` labels row ``k`` of the
+    leading axis, so that the error names the first row with a bad one."""
     m = np.asarray(mats, dtype=float)
     with np.errstate(invalid="ignore"):
         asym = np.abs(m[..., 0, 1] - m[..., 1, 0])
@@ -110,7 +110,8 @@ def _check_spd(mats: np.ndarray, where: str, name=None) -> None:
             ("not symmetric", asym > 1e-12 * np.maximum(scale, 1e-300)),
             ("not positive definite", (tr <= 0) | (det <= 0))):
         if np.any(bad):
-            at = "" if name is None else f" at {name(int(np.argmax(bad)))}"
+            row = bad.reshape(bad.shape[0], -1).any(axis=1) if bad.ndim else bad
+            at = "" if name is None else f" at {name(int(np.argmax(row)))}"
             raise FieldValidityError(f"tensor {problem} {where}{at}")
 
 
@@ -127,7 +128,11 @@ class TensorField:
         raise NotImplementedError
 
     def sample(self, points: np.ndarray, element: int | None = None) -> np.ndarray:
-        """Evaluate at ``(..., 2)`` points, returning ``(..., 2, 2)``."""
+        """Evaluate at ``(..., 2)`` points, returning ``(..., 2, 2)``.
+
+        ``element`` is the element the points lie in; for a functional
+        field, points of shape ``(t, n, 2)`` lie in elements ``element``
+        to ``element + t - 1``, and a bad matrix names its element."""
         raise NotImplementedError
 
     @property
@@ -216,7 +221,8 @@ class FunctionalField(TensorField):
         out = np.asarray(self.func(pts[..., 0], pts[..., 1]), dtype=float)
         if out.shape != pts.shape[:-1] + (2, 2):
             out = np.broadcast_to(out, pts.shape[:-1] + (2, 2))
-        _check_spd(out, "at sampled points")
+        _check_spd(out, "at sampled points", None if element is None else
+                   lambda k: f"element {element + k}")
         return out
 
     @property

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import wgdmp.cli as cli
 from wgdmp.assembly import ElementData
 from wgdmp.cli import main, run_example1, run_example2, run_trend
 from wgdmp.mesh import export_mesh, generate_structured
 from wgdmp.solve import solve_problem
-from wgdmp.tensor import FunctionalField, example_fields
+from wgdmp.tensor import FunctionalField, example_fields, quadrature
 
 
 def read_csv(path):
@@ -101,6 +102,31 @@ def test_solve_cholesky_matches_default(tmp_path):
     va = np.array([float(r[2]) for r in rows_a])
     vb = np.array([float(r[2]) for r in rows_b])
     assert va == pytest.approx(vb, abs=1e-9)
+
+
+def test_solve_default_matches_cg_on_ring(tmp_path):
+    for sub, method in (("direct", []), ("cg", ["--method", "cg"])):
+        rc = main(["solve", "--mesh", "mesh45", "--size", "16",
+                   "--field", "example52", "--gamma", "99",
+                   "--out", str(tmp_path / sub)] + method)
+        assert rc == 0
+    _, rows_a = read_csv(tmp_path / "direct" / "solution.csv")
+    _, rows_b = read_csv(tmp_path / "cg" / "solution.csv")
+    assert [r[:2] for r in rows_a] == [r[:2] for r in rows_b]
+    va = np.array([float(r[2]) for r in rows_a])
+    vb = np.array([float(r[2]) for r in rows_b])
+    assert np.abs(va - vb).max() <= 1e-9 * np.abs(va).max()
+
+
+def test_solve_max_iterations_needs_cg(tmp_path, capsys):
+    # the default direct method does not iterate, so the flag is refused
+    # rather than ignored
+    argv = ["solve", "--mesh", "mesh45", "--size", "8", "--field",
+            "identity", "--max-iterations", "3", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "--max-iterations" in capsys.readouterr().err
+    assert main(argv[:-4] + ["--max-iterations", "1000", "--method", "cg",
+                             "--out", str(tmp_path)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +346,42 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_field_indefinite_at_one_quadrature_point(command, tmp_path,
+                                                  monkeypatch, capsys):
+    # a functional tensor that is indefinite at one quadrature point of
+    # one element, and the identity everywhere else
+    mesh = generate_structured("mesh45", 4, 4)
+    element, q = 21, 4
+    bad = quadrature(4).points[q] @ mesh.vertices[mesh.triangles[element]]
+
+    def tensor(x, y):
+        out = np.broadcast_to(np.eye(2), np.shape(x) + (2, 2)).copy()
+        out[np.hypot(x - bad[0], y - bad[1]) < 1e-12, 1, 1] = -1.0
+        return out
+
+    monkeypatch.setattr(cli, "example_fields", lambda name, gamma=None: (
+        FunctionalField(tensor), None, lambda x, y: x))
+    rc = main([command, "--mesh", "mesh45", "--size", "4",
+               "--field", "example52", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "not positive definite" in err and f"element {element}" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_nonmanifold_mesh_file_names_triangles(command, tmp_path, capsys):
+    # edge (0, 1) is shared by all three counterclockwise triangles
+    path = tmp_path / "fan.mesh"
+    path.write_text("5 3\n0 0\n1 0\n0 1\n1 1\n0.5 -1\n"
+                    "0 1 2\n0 1 3\n1 0 4\n")
+    rc = main([command, "--mesh", str(path), "--field", "identity",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "edge (0, 1) shared by more than two triangles: 0, 1, 2" in err
 
 
 def test_unknown_subcommand():

@@ -11,7 +11,8 @@ from wgdmp.dmp import (PAIRS, FullSystemReport, TheoremDmpReport,
                        solution_verdict, write_angle_report, write_violations)
 from wgdmp.mesh import generate_structured
 from wgdmp.solve import WgSolution, solve_problem
-from wgdmp.tensor import ConstantField, FieldValidityError, example_fields
+from wgdmp.tensor import (ConstantField, FieldValidityError, FunctionalField,
+                          example_fields)
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -159,6 +160,27 @@ def test_theorem_general_matches_scalar_angles():
         q = dirs @ np.linalg.inv(data.a_avg[t]) @ dirs.T
         want = [-q[i, j] / np.sqrt(q[i, i] * q[j, j]) for i, j in PAIRS]
         assert rep.cos_alpha[t] == pytest.approx(want, rel=1e-12, abs=1e-30)
+
+
+@pytest.mark.parametrize("kind,n", [("mesh45", 2), ("mesh90", 3),
+                                     ("mesh135", 5)])
+def test_blocked_variation_matches_one_block(kind, n, monkeypatch):
+    # the Lipschitz estimate and the smallest eigenvalue, sampled in blocks
+    # of elements, give the same bits as one block over the whole mesh,
+    # with the finite-difference estimate and with an analytic bound
+    ring, _, _ = example_fields("example52", gamma=99.0)
+    bounded = FunctionalField(ring.func, lip=7.5)
+    mesh = generate_structured(kind, n, n)
+    for field in (ring, bounded):
+        whole = check_theorem_general(ElementData(mesh, field))
+        for block in (1, 3, mesh.n_elements - 1):
+            monkeypatch.setattr(ElementData, "SAMPLE_BLOCK", block)
+            rep = check_theorem_general(ElementData(mesh, field))
+            for name in ("lip", "lam_min"):
+                assert getattr(rep, name).tobytes() == \
+                    getattr(whole, name).tobytes(), (block, name)
+        monkeypatch.undo()
+    assert np.all(whole.lip == 7.5)
 
 
 def test_theorem_general_gamma_zero_passes():

@@ -1,6 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import wgdmp.solve as solve_module
 
 from wgdmp.assembly import (ElementData, ReducedSystem, assemble,
                             schur_algebraic)
@@ -219,7 +223,8 @@ def test_nonconvergence_reports_history():
     reduced = schur_algebraic(system)
     with pytest.raises(NonConvergenceError) as info:
         solve_reduced(reduced, system.g_h,
-                      SolverConfig(max_iterations=3))
+                      SolverConfig(max_iterations=3,
+                                   method="conjugate-gradient-jacobi"))
     history = info.value.residual_history
     assert len(history) >= 1
     assert all(h >= 0.0 for h in history)
@@ -234,6 +239,45 @@ def test_invalid_configs_rejected():
         SolverConfig(rel_tolerance=2.0)
     with pytest.raises(SolverError, match="max_iterations"):
         SolverConfig(max_iterations=0)
+
+
+def test_default_method_is_direct():
+    assert SolverConfig().method == "sparse-direct"
+
+
+def test_max_iterations_only_with_cg():
+    # the direct method does not iterate, so an iteration budget for it
+    # would be ignored; it is refused instead
+    with pytest.raises(SolverError, match="max_iterations"):
+        SolverConfig(max_iterations=3)
+    with pytest.raises(SolverError, match="max_iterations"):
+        SolverConfig(max_iterations=3, method="sparse-direct")
+    assert SolverConfig(max_iterations=3,
+                        method="conjugate-gradient-jacobi").max_iterations == 3
+
+
+def test_element_data_released_before_solve(monkeypatch):
+    # solve_problem drops the element data it was given after assembly, so
+    # that it is not alive while the factor is
+    refs = []
+
+    class Traceable(ElementData):       # ElementData has no weakref slot
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    alive = []
+
+    def spy(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return solve_reduced(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "solve_reduced", spy)
+    field, f, g = example_fields("example52", gamma=99.0)
+    mesh = generate_structured("mesh45", 8, 8)
+    sol = solve_problem(Traceable(mesh, field), f=f, g=g)
+    assert alive == [False]
+    assert sol.ub.size == mesh.n_interior_edges
 
 
 def test_export_solution_csv(tmp_path):
