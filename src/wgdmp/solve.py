@@ -36,7 +36,7 @@ __all__ = [
     "export_vertex_csv",
 ]
 
-METHODS = ("sparse-direct", "conjugate-gradient-jacobi")
+METHODS = ("conjugate-gradient-jacobi", "sparse-direct")
 
 
 class SolverError(Exception):
