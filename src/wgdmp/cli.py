@@ -202,8 +202,8 @@ def _example1_case(kind, n, field, f, g, out_dir, config):
     # hand over the only reference, so that the solve frees the data
     sol = solve_problem(held.pop(), f=f, g=g, config=config)
     v = solution_verdict(sol)
-    export_vertex_csv(mesh, vertex_average(mesh, sol),
-                      os.path.join(out_dir, f"example1_{kind}_{n}_vertices.csv"))
+    export_vertex_csv(mesh, vertex_average(mesh, sol), os.path.join(
+        out_dir, f"example1_{kind}_{n}_vertices.csv"))
     return {"kind": kind, "size": n,
             "max_ub": v.max_ub, "min_ub": v.min_ub,
             "max_u0": v.max_u0, "min_u0": v.min_u0,

@@ -199,8 +199,9 @@ def _variation(ed: ElementData):
             num = np.sqrt((diff ** 2).sum(axis=(3, 4)))
             den = np.sqrt(((qp[:, :, None] - qp[:, None, :]) ** 2).sum(axis=3))
             eps = 1e-14 * np.maximum(ed.diam[b], 1e-300)
-            lip[b] = np.where(den > eps[:, None, None],
-                              num / np.maximum(den, 1e-300), 0.0).max(axis=(1, 2))
+            ratio = np.where(den > eps[:, None, None],
+                             num / np.maximum(den, 1e-300), 0.0)
+            lip[b] = ratio.max(axis=(1, 2))
     return lip, lam_min
 
 

@@ -110,8 +110,10 @@ def _check_spd(mats: np.ndarray, where: str, name=None) -> None:
             ("not symmetric", asym > 1e-12 * np.maximum(scale, 1e-300)),
             ("not positive definite", (tr <= 0) | (det <= 0))):
         if np.any(bad):
-            row = bad.reshape(bad.shape[0], -1).any(axis=1) if bad.ndim else bad
-            at = "" if name is None else f" at {name(int(np.argmax(row)))}"
+            at = ""
+            if name is not None:
+                rows = bad.reshape(bad.shape[0], -1).any(axis=1)
+                at = f" at {name(int(np.argmax(rows)))}"
             raise FieldValidityError(f"tensor {problem} {where}{at}")
 
 

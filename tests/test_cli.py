@@ -92,30 +92,22 @@ def test_solve_piecewise_field_file(tmp_path):
 
 
 def test_solve_cholesky_matches_default(tmp_path):
-    for sub, method in (("cg", "cg"), ("chol", "cholesky")):
-        rc = main(["solve", "--mesh", "mesh45", "--size", "3",
-                   "--field", "example51", "--method", method,
-                   "--out", str(tmp_path / sub)])
-        assert rc == 0
-    _, rows_a = read_csv(tmp_path / "cg" / "solution.csv")
-    _, rows_b = read_csv(tmp_path / "chol" / "solution.csv")
-    va = np.array([float(r[2]) for r in rows_a])
-    vb = np.array([float(r[2]) for r in rows_b])
-    assert va == pytest.approx(vb, abs=1e-9)
-
-
-def test_solve_default_matches_cg_on_ring(tmp_path):
-    for sub, method in (("direct", []), ("cg", ["--method", "cg"])):
+    # the default direct solve, its cholesky alias and conjugate gradients
+    # agree on the ring
+    subs = {"default": [], "chol": ["--method", "cholesky"],
+            "cg": ["--method", "cg"]}
+    for sub, method in subs.items():
         rc = main(["solve", "--mesh", "mesh45", "--size", "16",
                    "--field", "example52", "--gamma", "99",
                    "--out", str(tmp_path / sub)] + method)
         assert rc == 0
-    _, rows_a = read_csv(tmp_path / "direct" / "solution.csv")
-    _, rows_b = read_csv(tmp_path / "cg" / "solution.csv")
-    assert [r[:2] for r in rows_a] == [r[:2] for r in rows_b]
-    va = np.array([float(r[2]) for r in rows_a])
-    vb = np.array([float(r[2]) for r in rows_b])
-    assert np.abs(va - vb).max() <= 1e-9 * np.abs(va).max()
+    _, ref = read_csv(tmp_path / "default" / "solution.csv")
+    va = np.array([float(r[2]) for r in ref])
+    for sub in ("chol", "cg"):
+        _, rows = read_csv(tmp_path / sub / "solution.csv")
+        assert [r[:2] for r in rows] == [r[:2] for r in ref]
+        vb = np.array([float(r[2]) for r in rows])
+        assert np.abs(va - vb).max() <= 1e-9 * np.abs(va).max()
 
 
 def test_solve_max_iterations_needs_cg(tmp_path, capsys):
