@@ -135,9 +135,8 @@ def _sparse_direct(a_mat, b, tol):
     """One sparse LU factorization in symmetric mode, accepted on the true
     residual.  The matrix is symmetric positive definite, so the pivots
     stay on the diagonal of a minimum-degree ordering of ``A + A^T``.
-    A panel of one column leaves out SuperLU's panel workspace, which
-    costs about as much memory as the factor of a 64x64 mesh, and it
-    factors these matrices faster, not slower."""
+    A panel of one column leaves out SuperLU's panel workspace, about as
+    large as the factor of a 64x64 mesh, and is no slower here."""
     try:
         lu = spla.splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, panel_size=1,

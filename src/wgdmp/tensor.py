@@ -97,8 +97,9 @@ def quadrature(degree: int) -> QuadratureRule:
 
 def _check_spd(mats: np.ndarray, where: str, name=None) -> None:
     """Validate finiteness, symmetry and positive definiteness of
-    ``(T, ..., 2, 2)`` matrices.  ``name(k)`` labels row ``k`` of the
-    leading axis, so that the error names the first row with a bad one."""
+    ``(..., 2, 2)`` matrices.  ``name(k)``, when given, labels row ``k``
+    of the leading axis, so that the error names the first row that holds
+    a bad matrix."""
     m = np.asarray(mats, dtype=float)
     with np.errstate(invalid="ignore"):
         asym = np.abs(m[..., 0, 1] - m[..., 1, 0])
